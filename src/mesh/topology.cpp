@@ -60,15 +60,7 @@ Coord Topology::coord_of(NodeId id) const {
 }
 
 NodeId Topology::neighbor(NodeId id, Direction dir) const {
-  const Coord c = coord_of(id);
-  const int e = extent(dir.dim());
-  const int v = c[dir.dim()] + dir.sign();
-  const long long stride = strides_[static_cast<size_t>(dir.dim())];
-  if (v >= 0 && v < e) return static_cast<NodeId>(id + dir.sign() * stride);
-  if (!wraps(dir.dim()) || e < 2) return kInvalidNode;
-  // Wrapping jumps the coordinate to the far end of the dimension: e-1 steps
-  // the opposite way in index space.
-  return static_cast<NodeId>(id - dir.sign() * (e - 1) * stride);
+  return neighbor(id, coord_of(id), dir);
 }
 
 bool Topology::has_neighbor(const Coord& c, Direction dir) const {

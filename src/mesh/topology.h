@@ -94,6 +94,20 @@ class Topology {
   /// The neighbour one hop along `dir`, or kInvalidNode where no channel
   /// exists (the grid surface of a non-wrapped dimension).
   [[nodiscard]] NodeId neighbor(NodeId id, Direction dir) const;
+
+  /// Same, for a caller that already holds `c` == coord_of(id): stride
+  /// arithmetic only, no division (the routing hot path).
+  [[nodiscard]] NodeId neighbor(NodeId id, const Coord& c, Direction dir) const {
+    const int e = extent(dir.dim());
+    const int v = c[dir.dim()] + dir.sign();
+    const long long stride = strides_[static_cast<size_t>(dir.dim())];
+    if (v >= 0 && v < e) return static_cast<NodeId>(id + dir.sign() * stride);
+    if (!wraps(dir.dim()) || e < 2) return kInvalidNode;
+    // Wrapping jumps the coordinate to the far end of the dimension: e-1
+    // steps the opposite way in index space.
+    return static_cast<NodeId>(id - dir.sign() * (e - 1) * stride);
+  }
+
   [[nodiscard]] bool has_neighbor(const Coord& c, Direction dir) const;
 
   /// The coordinate one channel hop along `dir`.  Pre: has_neighbor(c, dir).

@@ -1,6 +1,7 @@
 #include "src/routing/direction_policy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
 
@@ -88,17 +89,80 @@ std::vector<ClassifiedDirection> ordered_candidates(const RoutingContext& ctx, c
     if (cls != DirectionClass::kExcluded) out.push_back(ClassifiedDirection{d, cls});
   }
 
-  auto offset = [&](const ClassifiedDirection& cd) {
-    return ctx.mesh->axis_distance(cd.dir.dim(), u[cd.dir.dim()], dest[cd.dir.dim()]);
-  };
   std::stable_sort(out.begin(), out.end(),
-                   [&](const ClassifiedDirection& a, const ClassifiedDirection& b) {
+                   [](const ClassifiedDirection& a, const ClassifiedDirection& b) {
                      if (a.cls != b.cls) return a.cls < b.cls;
-                     if (opts.tie_break == TieBreak::kLargestOffset && offset(a) != offset(b))
-                       return offset(a) > offset(b);
                      return a.dir.index() < b.dir.index();
                    });
   return out;
+}
+
+ClassifiedDirection best_candidate(const RoutingContext& ctx, const Coord& u, const Coord& dest,
+                                   const DirectionSet& used, Direction incoming,
+                                   const DirectionPolicyOptions& opts) {
+  assert(ctx.mesh != nullptr && ctx.field != nullptr);
+  const Topology& mesh = *ctx.mesh;
+  const NodeId uid = mesh.index_of(u);
+  const int directions = mesh.direction_count();
+
+  // Directions are visited in index order, so the first survivor of a class
+  // is that class's best; a preferred survivor is the answer outright.
+  uint32_t skip = used.raw();
+  if (!incoming.is_none()) skip |= 1u << incoming.opposite().index();
+  uint32_t spares = 0;  // surviving non-preferred directions, bit = index
+  Direction detour = Direction::none();
+  for (int i = 0; i < directions; ++i) {
+    if ((skip >> i) & 1u) continue;
+    const Direction dir = Direction::from_index(i);
+    const NodeId v = mesh.neighbor(uid, u, dir);
+    if (v == kInvalidNode) continue;
+    if (ctx.links != nullptr && ctx.links->faulty(uid, dir)) continue;
+    const NodeStatus vs = ctx.field->at(v);
+    if (opts.avoid_faulty_neighbors && vs == NodeStatus::kFaulty) continue;
+    if (opts.avoid_disabled_neighbors && vs == NodeStatus::kDisabled) continue;
+
+    const int dim = dir.dim();
+    const int e = mesh.extent(dim);
+    int vd = u[dim] + dir.sign();
+    if (vd < 0) vd += e;
+    if (vd >= e) vd -= e;
+    if (mesh.axis_distance(dim, vd, dest[dim]) >= mesh.axis_distance(dim, u[dim], dest[dim])) {
+      spares |= 1u << i;
+      continue;
+    }
+    bool cut = false;
+    if (opts.use_block_info && ctx.info != nullptr) {
+      const Coord vc = u.with(dim, vd);
+      for (const BlockInfo& b : ctx.info->info_at(uid)) {
+        if (block_cuts_all_minimal_paths(b.box, vc, dest)) {
+          cut = true;
+          break;
+        }
+      }
+    }
+    if (!cut) return ClassifiedDirection{dir, DirectionClass::kPreferred};
+    if (detour.is_none()) detour = dir;
+  }
+
+  if (spares != 0) {
+    // Bit d set: u has a block-member channel neighbour along dimension d.
+    // A spare slides along a block when some *other* dimension is set.
+    uint32_t block_dims = 0;
+    for (int i = 0; i < directions; ++i) {
+      const Direction dir = Direction::from_index(i);
+      const NodeId v = mesh.neighbor(uid, u, dir);
+      if (v != kInvalidNode && is_block_member(ctx.field->at(v))) block_dims |= 1u << dir.dim();
+    }
+    for (uint32_t rest = spares; rest != 0; rest &= rest - 1) {
+      const Direction dir = Direction::from_index(std::countr_zero(rest));
+      if ((block_dims & ~(1u << dir.dim())) != 0)
+        return ClassifiedDirection{dir, DirectionClass::kSpareAlongBlock};
+    }
+    return ClassifiedDirection{Direction::from_index(std::countr_zero(spares)),
+                               DirectionClass::kSpare};
+  }
+  if (!detour.is_none()) return ClassifiedDirection{detour, DirectionClass::kPreferredDetour};
+  return ClassifiedDirection{};
 }
 
 }  // namespace lgfi

@@ -38,19 +38,12 @@ enum class DirectionClass : uint8_t {
 
 [[nodiscard]] const char* to_string(DirectionClass c);
 
-/// Tie-breaking among same-class candidates.
-enum class TieBreak : uint8_t {
-  kLowestDim,      ///< deterministic e-cube-like order (default)
-  kLargestOffset,  ///< prefer the dimension with the largest remaining offset
-};
-
 struct DirectionPolicyOptions {
   bool avoid_faulty_neighbors = true;
   bool avoid_disabled_neighbors = true;
   /// When false, block information is ignored (the info-free baseline): no
   /// direction is ever classified preferred-but-detour.
   bool use_block_info = true;
-  TieBreak tie_break = TieBreak::kLowestDim;
 };
 
 struct ClassifiedDirection {
@@ -63,18 +56,26 @@ DirectionClass classify_direction(const RoutingContext& ctx, const Coord& u, con
                                   Direction dir, const DirectionSet& used,
                                   const DirectionPolicyOptions& opts);
 
-/// All non-excluded candidates at `u`, best first (class, then tie-break).
-/// `incoming` is the direction the message travelled to arrive at `u` (or
-/// none at the source); its reverse — "the incoming direction" in the
-/// paper's priority list — ranks below every other choice, which in PCS
+/// All non-excluded candidates at `u`, best first (class, then direction
+/// index).  `incoming` is the direction the message travelled to arrive at
+/// `u` (or none at the source); its reverse — "the incoming direction" in
+/// the paper's priority list — ranks below every other choice, which in PCS
 /// terms is the backtrack itself, so it is excluded from the forward
 /// candidates here.  Without this demotion a probe bouncing off an obstacle
 /// would ping-pong between two nodes forever (path-local used sets reset on
-/// every new path entry).
+/// every new path entry).  The reference for best_candidate().
 std::vector<ClassifiedDirection> ordered_candidates(const RoutingContext& ctx, const Coord& u,
                                                     const Coord& dest, const DirectionSet& used,
                                                     Direction incoming,
                                                     const DirectionPolicyOptions& opts);
+
+/// ordered_candidates(...).front(), or {none, kExcluded} when there is no
+/// candidate: one allocation-free pass over the 2n directions, which stops
+/// at the first preferred direction and tests "along a block" only when
+/// none survives.  Algorithm 3's decision; FaultInfoRouter calls it.
+ClassifiedDirection best_candidate(const RoutingContext& ctx, const Coord& u, const Coord& dest,
+                                   const DirectionSet& used, Direction incoming,
+                                   const DirectionPolicyOptions& opts);
 
 /// True iff node `u` currently touches some faulty block (has a block-member
 /// neighbour) — the precondition for the spare-along-block class.

@@ -21,11 +21,11 @@ RouteDecision FaultInfoRouter::decide(const RoutingContext& ctx, RoutingHeader& 
   // Step 2: highest-priority unused outgoing direction.  The reverse of the
   // incoming direction ranks last ("incoming" in the paper's priority list)
   // and is realized as the backtrack below.
-  const auto candidates = ordered_candidates(ctx, u, header.destination(), header.top().used,
-                                             header.top().incoming, options_.policy);
-  if (!candidates.empty()) {
-    RouteDecision d{RouteAction::kForward, candidates.front().dir};
-    d.detour_preferred = candidates.front().cls == DirectionClass::kPreferredDetour;
+  const ClassifiedDirection best = best_candidate(ctx, u, header.destination(), header.top().used,
+                                                  header.top().incoming, options_.policy);
+  if (best.cls != DirectionClass::kExcluded) {
+    RouteDecision d{RouteAction::kForward, best.dir};
+    d.detour_preferred = best.cls == DirectionClass::kPreferredDetour;
     return d;
   }
 

@@ -1,7 +1,6 @@
 #include "src/sim/link_arbiter.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace lgfi {
 
@@ -10,34 +9,29 @@ LinkArbiter::LinkArbiter(const Topology& mesh)
       cursor_(static_cast<size_t>(mesh.node_count()) * static_cast<size_t>(dirs_), 0) {}
 
 void LinkArbiter::begin_step() {
-  request_channel_.clear();
+  keys_.clear();
   granted_.clear();
   stalled_this_step_ = 0;
 }
 
 int LinkArbiter::request(NodeId from, Direction dir) {
-  const int ticket = static_cast<int>(request_channel_.size());
-  request_channel_.push_back(static_cast<int32_t>(channel_of(from, dir)));
+  const int ticket = static_cast<int>(granted_.size());
+  keys_.push_back(static_cast<uint64_t>(channel_of(from, dir)) << 32 |
+                  static_cast<uint32_t>(ticket));
   granted_.push_back(0);
   return ticket;
 }
 
 void LinkArbiter::arbitrate() {
-  const size_t n = request_channel_.size();
-  if (n == 0) return;
-
-  // Tickets grouped by channel, submission order preserved inside a group.
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
-    return request_channel_[static_cast<size_t>(a)] < request_channel_[static_cast<size_t>(b)];
-  });
-
+  // Tickets grouped by channel, submission order preserved inside a group:
+  // the ticket in the low half breaks every tie of the channel in the high.
+  std::sort(keys_.begin(), keys_.end());
+  const size_t n = keys_.size();
   size_t i = 0;
   while (i < n) {
-    size_t j = i;
-    const int32_t channel = request_channel_[static_cast<size_t>(order[i])];
-    while (j < n && request_channel_[static_cast<size_t>(order[j])] == channel) ++j;
+    const auto channel = static_cast<int32_t>(keys_[i] >> 32);
+    size_t j = i + 1;
+    while (j < n && static_cast<int32_t>(keys_[j] >> 32) == channel) ++j;
     const size_t contenders = j - i;
     // A link-faulted channel grants nobody: all contenders stall, and the
     // cursor does not move so the rotation resumes intact after repair.
@@ -48,10 +42,11 @@ void LinkArbiter::arbitrate() {
       i = j;
       continue;
     }
-    const size_t winner = i + cursor_[static_cast<size_t>(channel)] % contenders;
-    granted_[static_cast<size_t>(order[winner])] = 1;
+    uint32_t& cursor = cursor_[static_cast<size_t>(channel)];
+    const size_t winner = i + cursor % contenders;
+    granted_[static_cast<size_t>(keys_[winner] & 0xffffffffu)] = 1;
     if (contenders > 1) {
-      ++cursor_[static_cast<size_t>(channel)];
+      ++cursor;
       stalled_this_step_ += static_cast<long long>(contenders - 1);
     }
     i = j;

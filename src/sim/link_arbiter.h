@@ -53,7 +53,7 @@ class LinkArbiter {
   }
 
   [[nodiscard]] long long requests_this_step() const {
-    return static_cast<long long>(request_channel_.size());
+    return static_cast<long long>(granted_.size());
   }
   [[nodiscard]] long long stalled_this_step() const { return stalled_this_step_; }
   [[nodiscard]] long long total_stalled() const { return total_stalled_; }
@@ -66,9 +66,11 @@ class LinkArbiter {
 
   int dirs_;
   const LinkFaultMask* links_ = nullptr;
-  std::vector<uint32_t> cursor_;        ///< per-channel round-robin position
-  std::vector<int32_t> request_channel_;  ///< ticket -> channel (this step)
-  std::vector<uint8_t> granted_;          ///< ticket -> outcome (this step)
+  std::vector<uint32_t> cursor_;  ///< per-channel round-robin position
+  /// This step's requests as (channel << 32 | ticket).  Keys are unique, so
+  /// sorting them groups tickets by channel in submission order.
+  std::vector<uint64_t> keys_;
+  std::vector<uint8_t> granted_;  ///< ticket -> outcome (this step)
   long long stalled_this_step_ = 0;
   long long total_stalled_ = 0;
 };

@@ -1,8 +1,7 @@
 #include "src/sim/switching_model.h"
 
-#include <algorithm>
-
 #include "src/sim/link_arbiter.h"
+#include "src/sim/resident_queues.h"
 #include "src/sim/wormhole_switching.h"
 
 namespace lgfi {
@@ -58,16 +57,14 @@ namespace {
 class IdealSwitching final : public SwitchingModel {
  public:
   IdealSwitching(const Topology& mesh, const SwitchingOptions& options)
-      : arbitration_(options.link_arbitration) {
-    if (arbitration_) fifo_.resize(static_cast<size_t>(mesh.node_count()));
-  }
+      : arbitration_(options.link_arbitration), resident_(arbitration_ ? mesh.node_count() : 0) {}
 
   [[nodiscard]] std::string name() const override { return "ideal"; }
   [[nodiscard]] bool arbitrated() const override { return arbitration_; }
 
   void add_packet(int id, NodeId source) override {
     if (arbitration_) {
-      fifo_[static_cast<size_t>(source)].push_back(id);
+      resident_.push(source, id);
     } else {
       order_.push_back(id);
     }
@@ -80,6 +77,8 @@ class IdealSwitching final : public SwitchingModel {
       advance_contention_free(host);
     }
   }
+
+  void validate() const override { resident_.validate(); }
 
  private:
   void advance_contention_free(SwitchingHost& host) {
@@ -115,59 +114,55 @@ class IdealSwitching final : public SwitchingModel {
     // order), and moves become channel requests.  Decisions are pure w.r.t.
     // the header (marking happens on the granted traversal), so a stalled
     // packet simply re-decides next step under the then-current information.
-    struct Pending {
-      int id;
-      SwitchDecision decision;
-      int ticket;
-      NodeId node;
-    };
     arbiter.begin_step();
-    std::vector<Pending> pending;
-    std::vector<std::pair<NodeId, int>> finished_in_place;
-    const NodeId nodes = static_cast<NodeId>(fifo_.size());
-    for (NodeId node = 0; node < nodes; ++node) {
-      for (const int id : fifo_[static_cast<size_t>(node)]) {
+    pending_.clear();
+    finished_in_place_.clear();
+    for (NodeId node = resident_.next_occupied(-1); node != kInvalidNode;
+         node = resident_.next_occupied(node)) {
+      for (const int id : resident_.at(node)) {
         const SwitchDecision d = host.decide(id);
         switch (d.action) {
           case SwitchAction::kDeliver:
             host.finish(id, PacketOutcome::kDelivered);
-            finished_in_place.emplace_back(node, id);
+            finished_in_place_.emplace_back(node, id);
             break;
           case SwitchAction::kUnreachable:
             host.finish(id, PacketOutcome::kUnreachable);
-            finished_in_place.emplace_back(node, id);
+            finished_in_place_.emplace_back(node, id);
             break;
           case SwitchAction::kForward:
-            pending.push_back({id, d, arbiter.request(node, d.direction), node});
+            pending_.push_back({id, d, arbiter.request(node, d.direction), node});
             break;
           case SwitchAction::kBacktrack:
             // Backtracking traverses the channel back to the previous node —
             // it contends like any other traversal.
-            pending.push_back({id, d, arbiter.request(node, d.back), node});
+            pending_.push_back({id, d, arbiter.request(node, d.back), node});
             break;
         }
       }
     }
-    for (const auto& [node, id] : finished_in_place) remove_from_fifo(node, id);
+    for (const auto& [node, id] : finished_in_place_) resident_.remove(node, id);
 
     arbiter.arbitrate();
 
     // Traversal sub-phase: winners move one hop; losers stall where they are.
-    for (const Pending& p : pending) {
+    for (const Pending& p : pending_) {
       if (!arbiter.granted(p.ticket)) {
         host.count_stall(p.id);
         continue;
       }
       const MoveResult r = host.commit_move(p.id, p.decision);
-      remove_from_fifo(p.node, p.id);
-      if (!r.finished) fifo_[static_cast<size_t>(r.node)].push_back(p.id);
+      resident_.remove(p.node, p.id);
+      if (!r.finished) resident_.push(r.node, p.id);
     }
   }
 
-  void remove_from_fifo(NodeId node, int id) {
-    auto& q = fifo_[static_cast<size_t>(node)];
-    q.erase(std::find(q.begin(), q.end(), id));
-  }
+  struct Pending {
+    int id;
+    SwitchDecision decision;
+    int ticket;
+    NodeId node;
+  };
 
   bool arbitration_;
   /// Contention-free: active packet ids in launch order.
@@ -175,7 +170,10 @@ class IdealSwitching final : public SwitchingModel {
   /// Arbitrated: per-node FIFO of resident active packet ids — the service
   /// order of the advance phase, hence the submission order the arbiter's
   /// round-robin rotates over.
-  std::vector<std::vector<int>> fifo_;
+  ResidentQueues resident_;
+  /// Per-step scratch of the arbitrated advance, kept to reuse its capacity.
+  std::vector<Pending> pending_;
+  std::vector<std::pair<NodeId, int>> finished_in_place_;
 };
 
 // Both registrations live here (not next to each implementation): this

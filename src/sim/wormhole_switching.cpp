@@ -1,7 +1,7 @@
 #include "src/sim/wormhole_switching.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "src/sim/link_arbiter.h"
 
@@ -16,7 +16,7 @@ void check_range(const char* key, int value, int lo, int hi) {
 }  // namespace
 
 WormholeSwitching::WormholeSwitching(const Topology& mesh, const SwitchingOptions& options)
-    : mesh_(&mesh), options_(options), dirs_(mesh.direction_count()) {
+    : mesh_(&mesh), options_(options), dirs_(mesh.direction_count()), probes_(mesh.node_count()) {
   check_range("num_vcs", options_.num_vcs, 1, 64);
   check_range("vc_buffer_depth", options_.vc_buffer_depth, 1, 4096);
   check_range("flits_per_packet", options_.flits_per_packet, 1, 4096);
@@ -24,7 +24,6 @@ WormholeSwitching::WormholeSwitching(const Topology& mesh, const SwitchingOption
   vc_owner_.assign(static_cast<size_t>(mesh.node_count()) * static_cast<size_t>(dirs_) *
                        static_cast<size_t>(options_.num_vcs),
                    -1);
-  fifo_.resize(static_cast<size_t>(mesh.node_count()));
   credit_stalls_vc_.assign(static_cast<size_t>(options_.num_vcs), 0);
   switch_stalls_vc_.assign(static_cast<size_t>(options_.num_vcs), 0);
 }
@@ -65,11 +64,6 @@ void WormholeSwitching::release_all(Worm& w) {
   }
 }
 
-void WormholeSwitching::remove_from_fifo(NodeId node, int id) {
-  auto& q = fifo_[static_cast<size_t>(node)];
-  q.erase(std::find(q.begin(), q.end(), id));
-}
-
 void WormholeSwitching::add_packet(int id, NodeId source) {
   if (id != static_cast<int>(worms_.size()))
     throw std::logic_error("wormhole: packet ids must be dense and launch-ordered");
@@ -77,7 +71,7 @@ void WormholeSwitching::add_packet(int id, NodeId source) {
   w.node = source;
   w.at_source = options_.flits_per_packet - 1;  // the head flit is the probe
   worms_.push_back(std::move(w));
-  fifo_[static_cast<size_t>(source)].push_back(id);
+  probes_.push(source, id);
 }
 
 void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) {
@@ -106,22 +100,17 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
   // Phase 1: probe decisions (nodes ascending, per-node FIFO order — the §8
   // service order), producing switch requests.  Decisions are pure w.r.t.
   // the header, so a blocked probe simply re-decides next step.
-  enum class ReqKind : uint8_t { kProbeForward, kProbeBacktrack, kFlit, kAcquireFlit };
-  struct Req {
-    int ticket;
-    int id;
-    ReqKind kind;
-    SwitchDecision decision;  // probe kinds only
-    int hop;                  // flit kinds: index of the hop being crossed
-    int vc_hint;              // kAcquireFlit: the VC seen free at request time
-    bool forced;              // kProbeBacktrack: the §10 escape, not the router
-  };
-  std::vector<Req> reqs;
-  std::vector<std::pair<NodeId, int>> leaving_fifo;
-  std::vector<int> new_streams;
-  const NodeId nodes = static_cast<NodeId>(fifo_.size());
-  for (NodeId node = 0; node < nodes; ++node) {
-    for (const int id : fifo_[static_cast<size_t>(node)]) {
+  // The step's scratch lives in members, cleared here and reused so its
+  // capacity carries across steps.
+  std::vector<Req>& reqs = reqs_;
+  std::vector<std::pair<NodeId, int>>& leaving_fifo = leaving_fifo_;
+  std::vector<int>& new_streams = new_streams_;
+  reqs.clear();
+  leaving_fifo.clear();
+  new_streams.clear();
+  for (NodeId node = probes_.next_occupied(-1); node != kInvalidNode;
+       node = probes_.next_occupied(node)) {
+    for (const int id : probes_.at(node)) {
       Worm& w = worms_[static_cast<size_t>(id)];
       const SwitchDecision d = host.decide(id);
       switch (d.action) {
@@ -188,7 +177,7 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
       }
     }
   }
-  for (const auto& [node, id] : leaving_fifo) remove_from_fifo(node, id);
+  for (const auto& [node, id] : leaving_fifo) probes_.remove(node, id);
 
   // Phase 2: data-flit requests along recorded paths (streaming worms in
   // head-arrival order), against start-of-step occupancies.  Flits occupy
@@ -293,13 +282,13 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
           release_hop(w.path[static_cast<size_t>(w.held_from)]);
           ++w.held_from;
         }
-        remove_from_fifo(w.node, r.id);
+        probes_.remove(w.node, r.id);
         w.node = m.node;
         if (m.finished) {
           release_all(w);
           w.done = true;
         } else {
-          fifo_[static_cast<size_t>(m.node)].push_back(r.id);
+          probes_.push(m.node, r.id);
         }
         break;
       }
@@ -311,13 +300,13 @@ void WormholeSwitching::advance_step(SwitchingHost& host, LinkArbiter* arbiter) 
         w.path.pop_back();
         if (w.held_from > static_cast<int>(w.path.size()))
           w.held_from = static_cast<int>(w.path.size());
-        remove_from_fifo(w.node, r.id);
+        probes_.remove(w.node, r.id);
         w.node = m.node;
         if (m.finished) {
           release_all(w);
           w.done = true;
         } else {
-          fifo_[static_cast<size_t>(m.node)].push_back(r.id);
+          probes_.push(m.node, r.id);
         }
         break;
       }
@@ -509,12 +498,15 @@ void WormholeSwitching::validate() const {
         w.streaming ? options_.flits_per_packet : options_.flits_per_packet - 1;
     if (total != expect) fail("flit conservation violated");
   }
-  // Every active setup worm sits in exactly one node FIFO, at its node.
+  // Every active setup worm sits in exactly one node FIFO, at its node, and
+  // the occupancy bitmap marks exactly the non-empty FIFOs.
+  probes_.validate();
   std::vector<int> residency(worms_.size(), 0);
-  for (size_t node = 0; node < fifo_.size(); ++node) {
-    for (const int id : fifo_[node]) {
+  for (NodeId node = probes_.next_occupied(-1); node != kInvalidNode;
+       node = probes_.next_occupied(node)) {
+    for (const int id : probes_.at(node)) {
       ++residency[static_cast<size_t>(id)];
-      if (worms_[static_cast<size_t>(id)].node != static_cast<NodeId>(node))
+      if (worms_[static_cast<size_t>(id)].node != node)
         fail("fifo residency disagrees with worm node");
     }
   }

@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/resident_queues.h"
 #include "src/sim/switching_model.h"
 
 namespace lgfi {
@@ -118,6 +119,18 @@ class WormholeSwitching final : public SwitchingModel {
     std::vector<Hop> path;  ///< hops source -> head (mirrors the header path)
   };
 
+  enum class ReqKind : uint8_t { kProbeForward, kProbeBacktrack, kFlit, kAcquireFlit };
+  /// One switch request of the current step.
+  struct Req {
+    int ticket;
+    int id;
+    ReqKind kind;
+    SwitchDecision decision;  // probe kinds only
+    int hop;                  // flit kinds: index of the hop being crossed
+    int vc_hint;              // kAcquireFlit: the VC seen free at request time
+    bool forced;              // kProbeBacktrack: the §10 escape, not the router
+  };
+
   [[nodiscard]] size_t channel_of(NodeId from, Direction dir) const {
     return static_cast<size_t>(from) * static_cast<size_t>(dirs_) +
            static_cast<size_t>(dir.index());
@@ -128,15 +141,18 @@ class WormholeSwitching final : public SwitchingModel {
   void release_hop(Hop& hop);
   /// Releases every VC the worm still holds (either phase).
   void release_all(Worm& w);
-  void remove_from_fifo(NodeId node, int id);
 
   const Topology* mesh_;
   SwitchingOptions options_;
   int dirs_;
   std::vector<int32_t> vc_owner_;  ///< (channel * num_vcs + vc) -> worm id or -1
   std::vector<Worm> worms_;        ///< indexed by packet id (dense, launch order)
-  std::vector<std::vector<int>> fifo_;  ///< setup probes resident per node
-  std::vector<int> streams_;            ///< streaming worm ids, head-arrival order
+  ResidentQueues probes_;     ///< setup probes resident per node
+  std::vector<int> streams_;  ///< streaming worm ids, head-arrival order
+  /// Per-step scratch of advance_step, kept to reuse its capacity.
+  std::vector<Req> reqs_;
+  std::vector<std::pair<NodeId, int>> leaving_fifo_;
+  std::vector<int> new_streams_;
   /// field_version() at the last fault scan; streams rescan only when the
   /// field actually changed (fault-free runs never pay for the scan).
   uint64_t seen_field_version_ = ~0ull;

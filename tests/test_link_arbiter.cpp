@@ -1,11 +1,16 @@
 // Tests for LinkArbiter: one message per directed channel per step,
-// deterministic round-robin among contenders, and the contention behaviour
-// of the arbitrated advance phase in DynamicSimulation.
+// deterministic round-robin among contenders, grant-for-grant agreement with
+// the stable-sort reference arbiter, and the contention behaviour of the
+// arbitrated advance phase in DynamicSimulation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "src/core/dynamic_simulation.h"
 #include "src/sim/link_arbiter.h"
+#include "src/sim/rng.h"
 
 namespace lgfi {
 namespace {
@@ -89,6 +94,122 @@ TEST(LinkArbiter, GrantSequenceIsDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
+/// LinkArbiter::arbitrate() as it stood before packed-key grouping: a
+/// stable sort of ticket indices by channel.  The reference the production
+/// arbiter must match grant for grant.
+class StableSortArbiter {
+ public:
+  explicit StableSortArbiter(const Topology& mesh)
+      : dirs_(mesh.direction_count()),
+        cursor_(static_cast<size_t>(mesh.node_count()) * static_cast<size_t>(dirs_), 0) {}
+
+  void set_link_faults(const LinkFaultMask* links) { links_ = links; }
+
+  void begin_step() {
+    request_channel_.clear();
+    granted_.clear();
+    stalled_this_step_ = 0;
+  }
+
+  int request(NodeId from, Direction dir) {
+    const int ticket = static_cast<int>(request_channel_.size());
+    request_channel_.push_back(static_cast<int32_t>(from * dirs_ + dir.index()));
+    granted_.push_back(0);
+    return ticket;
+  }
+
+  void arbitrate() {
+    const size_t n = request_channel_.size();
+    if (n == 0) return;
+    std::vector<int> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
+      return request_channel_[static_cast<size_t>(a)] < request_channel_[static_cast<size_t>(b)];
+    });
+    size_t i = 0;
+    while (i < n) {
+      size_t j = i;
+      const int32_t channel = request_channel_[static_cast<size_t>(order[i])];
+      while (j < n && request_channel_[static_cast<size_t>(order[j])] == channel) ++j;
+      const size_t contenders = j - i;
+      if (links_ != nullptr && links_->any() &&
+          links_->faulty(static_cast<NodeId>(channel / dirs_),
+                         Direction::from_index(channel % dirs_))) {
+        stalled_this_step_ += static_cast<long long>(contenders);
+        i = j;
+        continue;
+      }
+      const size_t winner = i + cursor_[static_cast<size_t>(channel)] % contenders;
+      granted_[static_cast<size_t>(order[winner])] = 1;
+      if (contenders > 1) {
+        ++cursor_[static_cast<size_t>(channel)];
+        stalled_this_step_ += static_cast<long long>(contenders - 1);
+      }
+      i = j;
+    }
+    total_stalled_ += stalled_this_step_;
+  }
+
+  [[nodiscard]] bool granted(int ticket) const {
+    return granted_[static_cast<size_t>(ticket)] != 0;
+  }
+  [[nodiscard]] long long stalled_this_step() const { return stalled_this_step_; }
+  [[nodiscard]] long long total_stalled() const { return total_stalled_; }
+
+ private:
+  int dirs_;
+  const LinkFaultMask* links_ = nullptr;
+  std::vector<uint32_t> cursor_;
+  std::vector<int32_t> request_channel_;
+  std::vector<uint8_t> granted_;
+  long long stalled_this_step_ = 0;
+  long long total_stalled_ = 0;
+};
+
+TEST(LinkArbiter, MatchesStableSortReferenceOnRandomStreams) {
+  // Seeded random request streams, dense enough that most channels see
+  // several contenders, with directed links failing and repairing under
+  // the run: every grant, every per-step stall count and the running total
+  // must equal the reference's.
+  const MeshTopology mesh(2, 4);
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    LinkFaultMask links(mesh);
+    LinkArbiter arb(mesh);
+    StableSortArbiter ref(mesh);
+    arb.set_link_faults(&links);
+    ref.set_link_faults(&links);
+    for (int step = 0; step < 400; ++step) {
+      for (int k = 0; k < 2; ++k) {
+        const auto node = static_cast<NodeId>(rng.next_below(mesh.node_count()));
+        const Direction dir = Direction::from_index(static_cast<int>(rng.next_below(4)));
+        if (rng.bernoulli(0.5)) {
+          links.fail(node, dir);
+        } else {
+          links.repair(node, dir);
+        }
+      }
+      arb.begin_step();
+      ref.begin_step();
+      const int requests = static_cast<int>(rng.next_below(80));
+      for (int r = 0; r < requests; ++r) {
+        // A narrow band of source nodes concentrates the contention.
+        const auto node = static_cast<NodeId>(rng.next_below(6));
+        const Direction dir = Direction::from_index(static_cast<int>(rng.next_below(4)));
+        ASSERT_EQ(arb.request(node, dir), ref.request(node, dir));
+      }
+      ASSERT_EQ(arb.requests_this_step(), requests);
+      arb.arbitrate();
+      ref.arbitrate();
+      for (int t = 0; t < requests; ++t)
+        ASSERT_EQ(arb.granted(t), ref.granted(t)) << "seed " << seed << " step " << step;
+      ASSERT_EQ(arb.stalled_this_step(), ref.stalled_this_step()) << "step " << step;
+      ASSERT_EQ(arb.total_stalled(), ref.total_stalled()) << "step " << step;
+    }
+    EXPECT_GT(arb.total_stalled(), 0);
+  }
+}
+
 TEST(DynamicSimulationArbitration, ColocatedMessagesShareAChannel) {
   // Two messages launched at the same source toward the same destination
   // want the same channel every step: with arbitration one of them stalls
@@ -99,7 +220,10 @@ TEST(DynamicSimulationArbitration, ColocatedMessagesShareAChannel) {
   DynamicSimulation sim(mesh, FaultSchedule{}, opts);
   const int a = sim.launch_message(Coord{0, 0}, Coord{0, 6});
   const int b = sim.launch_message(Coord{0, 0}, Coord{0, 6});
-  sim.run(200);
+  for (int s = 0; s < 200 && !sim.all_messages_done(); ++s) {
+    sim.step();
+    ASSERT_NO_THROW(sim.switching().validate()) << "step " << s;
+  }
 
   EXPECT_TRUE(sim.message(a).delivered);
   EXPECT_TRUE(sim.message(b).delivered);

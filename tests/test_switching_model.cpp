@@ -1,15 +1,20 @@
 // Tests for the pluggable switching layer (DESIGN.md §10): registry surface,
-// byte-identity of the ideal model with the pre-layer pipeline, wormhole
-// flit/VC/credit mechanics with invariant checking, the deadlock-avoidance
-// escapes, config round-tripping of the switching keys, and the determinism
-// contract (threads=1 vs 8 byte-identical under wormhole).
+// the resident queues behind the arbitrated service order, byte-identity of
+// the ideal model with the pre-layer pipeline, wormhole flit/VC/credit
+// mechanics with invariant checking, the deadlock-avoidance escapes, config
+// round-tripping of the switching keys, and the determinism contract
+// (threads=1 vs 8 byte-identical under wormhole).
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "src/core/experiment_runner.h"
 #include "src/core/traffic_workload.h"
+#include "src/sim/resident_queues.h"
 #include "src/sim/switching_model.h"
 #include "src/sim/wormhole_switching.h"
 
@@ -68,6 +73,48 @@ TEST(SwitchingConfig, UnknownModelAndBadCombinationsRejectedEagerly) {
   Config bad = experiment_config();
   bad.parse_string("switching=wormhole traffic=uniform num_vcs=0 measure_steps=10");
   EXPECT_THROW((void)ExperimentRunner(bad).run(), ConfigError);
+}
+
+// ---------------------------------------------------------------------------
+// The resident queues both arbitrated models serve from.
+// ---------------------------------------------------------------------------
+
+std::vector<std::pair<NodeId, int>> visit_order(const ResidentQueues& q) {
+  std::vector<std::pair<NodeId, int>> out;
+  for (NodeId node = q.next_occupied(-1); node != kInvalidNode; node = q.next_occupied(node))
+    for (const int id : q.at(node)) out.emplace_back(node, id);
+  return out;
+}
+
+TEST(ResidentQueues, VisitsNonEmptyNodesAscendingInArrivalOrder) {
+  // 200 nodes span four bitmap words; nodes 63/64 and 199 sit on word edges.
+  ResidentQueues q(200);
+  q.push(199, 7);
+  q.push(64, 3);
+  q.push(63, 4);
+  q.push(64, 1);
+  q.push(0, 9);
+  using Visit = std::vector<std::pair<NodeId, int>>;
+  EXPECT_EQ(visit_order(q), (Visit{{0, 9}, {63, 4}, {64, 3}, {64, 1}, {199, 7}}));
+  q.remove(64, 3);
+  q.remove(199, 7);
+  EXPECT_EQ(visit_order(q), (Visit{{0, 9}, {63, 4}, {64, 1}}));
+  EXPECT_NO_THROW(q.validate());
+  q.remove(0, 9);
+  q.remove(63, 4);
+  q.remove(64, 1);
+  EXPECT_TRUE(visit_order(q).empty());
+  EXPECT_NO_THROW(q.validate());
+}
+
+TEST(ResidentQueues, RemovingANonResidentIdThrows) {
+  ResidentQueues q(10);
+  q.push(2, 5);
+  EXPECT_THROW(q.remove(2, 6), std::logic_error) << "id not in the node's FIFO";
+  EXPECT_THROW(q.remove(3, 5), std::logic_error) << "id resident at another node";
+  q.remove(2, 5);
+  EXPECT_THROW(q.remove(2, 5), std::logic_error) << "already removed";
+  EXPECT_NO_THROW(q.validate());
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 #include <sstream>
 
 #include "src/core/experiment_runner.h"
@@ -56,6 +57,29 @@ TEST(TorusTopology, WraparoundNeighborAndIndexRoundTrip) {
   // ... but the coordinate grid still has corners.
   EXPECT_TRUE(t.has_grid_neighbor(Coord{0, 0}, Direction(0, true)));
   EXPECT_FALSE(t.has_grid_neighbor(Coord{0, 0}, minus_x));
+}
+
+TEST(Topology, NeighborWithCoordMatchesNeighborById) {
+  // The overload that takes the coordinate in hand must agree with the one
+  // that derives it, and with the coordinate-space step, on every node and
+  // direction: extent-1 dimensions (no channel either way) and wrapped
+  // extent-2 dimensions (both directions reach the same node) included.
+  std::vector<std::unique_ptr<Topology>> topologies;
+  topologies.push_back(std::make_unique<MeshTopology>(std::vector<int>{3, 1, 4}));
+  topologies.push_back(std::make_unique<TorusTopology>(std::vector<int>{2, 1, 3}));
+  topologies.push_back(std::make_unique<TorusTopology>(2, 5));
+  topologies.push_back(std::make_unique<CMeshTopology>(std::vector<int>{4, 1, 2}, 2));
+  for (const auto& t : topologies) {
+    for (NodeId id = 0; id < t->node_count(); ++id) {
+      const Coord c = t->coord_of(id);
+      for (int i = 0; i < t->direction_count(); ++i) {
+        const Direction d = Direction::from_index(i);
+        const NodeId expect = t->has_neighbor(c, d) ? t->index_of(t->step(c, d)) : kInvalidNode;
+        EXPECT_EQ(t->neighbor(id, c, d), t->neighbor(id, d)) << t->name() << " " << c << " " << i;
+        EXPECT_EQ(t->neighbor(id, c, d), expect) << t->name() << " " << c << " " << i;
+      }
+    }
+  }
 }
 
 TEST(TorusTopology, MinHopsMatchesChannelGraphBfs) {
