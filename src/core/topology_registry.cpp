@@ -1,22 +1,53 @@
 #include "src/core/topology_registry.h"
 
+#include <limits>
 #include <sstream>
 
 namespace lgfi {
 
 namespace {
 
-std::vector<int> config_extents(const Config& config) {
-  const std::string spec = config.defined("extents") ? config.get_str("extents") : "";
-  return parse_extents_spec(spec, static_cast<int>(config.get_int("mesh_dims")),
-                            static_cast<int>(config.get_int("radix")));
+/// `key` as an int: a wider value would narrow silently (radix=4294967298
+/// would run a radix-2 mesh).
+int config_int(const Config& config, const std::string& key) {
+  const long long v = config.get_int(key);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max())
+    throw ConfigError(key + "=" + std::to_string(v) + " does not fit an int");
+  return static_cast<int>(v);
 }
 
 int config_concentration(const Config& config) {
-  const int c =
-      config.defined("concentration") ? static_cast<int>(config.get_int("concentration")) : 1;
+  const int c = config.defined("concentration") ? config_int(config, "concentration") : 1;
   if (c < 1) throw ConfigError("concentration must be >= 1");
   return c;
+}
+
+/// The grid extents from `extents` or mesh_dims/radix.  A grid whose node
+/// ids or terminal slots would not fit 32 bits is refused naming its keys.
+std::vector<int> config_extents(const Config& config, int concentration = 1) {
+  const std::string spec = config.defined("extents") ? config.get_str("extents") : "";
+  std::vector<int> extents;
+  std::string keys;
+  if (!spec.empty()) {
+    extents = parse_extents_spec(spec, 0, 0);  // a spec overrides mesh_dims/radix
+    keys = "extents=" + spec;
+  } else {
+    const int dims = config_int(config, "mesh_dims");
+    const int radix = config_int(config, "radix");
+    if (dims < 1 || dims > kMaxDims)
+      throw ConfigError("mesh_dims=" + std::to_string(dims) + " is outside [1, " +
+                        std::to_string(kMaxDims) + "]");
+    if (radix < 1) throw ConfigError("radix=" + std::to_string(radix) + " must be >= 1");
+    extents.assign(static_cast<size_t>(dims), radix);
+    keys = "mesh_dims=" + std::to_string(dims) + " radix=" + std::to_string(radix);
+  }
+  if (!grid_fits(extents, concentration)) {
+    if (concentration > 1) keys += " concentration=" + std::to_string(concentration);
+    throw ConfigError(keys + " gives more than " + std::to_string(kMaxNodeCount) +
+                      (concentration > 1 ? " terminals" : " nodes") +
+                      " (node ids and terminal slots are 32-bit)");
+  }
+  return extents;
 }
 
 /// mesh and torus have exactly one terminal per router; a stray
@@ -48,8 +79,9 @@ NamedRegistry<TopologyFactory> build_registry() {
   r.add(
       "cmesh",
       [](const Config& config) -> std::unique_ptr<Topology> {
-        return std::make_unique<CMeshTopology>(config_extents(config),
-                                               config_concentration(config));
+        const int concentration = config_concentration(config);
+        return std::make_unique<CMeshTopology>(config_extents(config, concentration),
+                                               concentration);
       },
       {"concentrated mesh: `concentration` terminals share each router",
        {"mesh_dims", "radix", "extents", "concentration"}});

@@ -183,7 +183,7 @@ void DistributedFaultModel::handle_cancel_message(NodeId node, const CancelMessa
   if (corner_level(c, shell) == 0 && !m.force) return;
   (void)remove_info(node, m.box, m.epoch);
   if (!m.carrier.empty()) {
-    merge_seen_.erase(NodeKey{node, merge_key(m.box, m.carrier, m.dim, m.positive != 0)});
+    merge_seen_.erase(node, merge_key(m.box, m.carrier, m.dim, m.positive != 0));
   }
   // Dedup by wave identity, not by removal success: a node that already lost
   // the entry (eager invalidation) must still relay the wave so the ring
@@ -193,10 +193,10 @@ void DistributedFaultModel::handle_cancel_message(NodeId node, const CancelMessa
       (0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(m.epoch) + 1));
   auto& seen_count = cancel_seen_count_[static_cast<size_t>(node)];
   if (seen_count > 512) {  // bounded memory; keys are epoch-scoped
-    std::erase_if(cancel_seen_, [node](const NodeKey& k) { return k.node == node; });
+    cancel_seen_.erase_node(node);
     seen_count = 0;
   }
-  const bool inserted = cancel_seen_.insert(NodeKey{node, wave_key}).second;
+  const bool inserted = cancel_seen_.try_emplace(node, wave_key).second;
   if (inserted) ++seen_count;
   if (!inserted && !m.force) return;
   m.force = 0;
@@ -262,7 +262,7 @@ void DistributedFaultModel::sweep_carried_info(NodeId node, const Box& dead_carr
   }
   for (const auto& [f, prov] : carried) {
     remove_info(node, f.box, f.epoch);
-    merge_seen_.erase(NodeKey{node, merge_key(f.box, dead_carrier, prov.dim, prov.positive != 0)});
+    merge_seen_.erase(node, merge_key(f.box, dead_carrier, prov.dim, prov.positive != 0));
     // Self-optimizing re-assertion: with the carrier gone, the foreign
     // block's straight wall can extend through the freed space again.  A
     // swept node sitting on that wall column re-walks it downward (the wall

@@ -21,7 +21,6 @@ struct DistributedFaultModel::IdentMessage {
   };
 
   uint64_t pid = 0;
-  Coord origin;          ///< initiating corner of the top-level process
   Kind kind = kEdgeWalk;
   int8_t level = 0;      ///< k of the process this message belongs to
   int8_t walk_dim = -1;

@@ -32,13 +32,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/fault/block_registry.h"
 #include "src/fault/labeling.h"
 #include "src/fault/node_status.h"
+#include "src/fault/node_table.h"
 #include "src/sim/engine.h"
 #include "src/sim/mailbox.h"
 
@@ -166,7 +165,7 @@ class DistributedFaultModel final : public SynchronousProtocol {
   bool evaluate_corner_node(NodeId id, int retry);
   [[nodiscard]] int launch_retry_interval() const;
   void age_identification_bookkeeping();
-  void handle_ident_message(NodeId node, IdentMessage m);
+  void handle_ident_message(NodeId node, const IdentMessage& m);
   void launch_process(NodeId corner, const LevelEntry& entry);
   void launch_subprocess(const Coord& at, int level, uint8_t free_mask,
                          std::array<int8_t, kMaxDims> out_signs, const IdentMessage& parent,
@@ -277,49 +276,38 @@ class DistributedFaultModel final : public SynchronousProtocol {
 
   InfoStore info_;
 
-  // Identification bookkeeping, consolidated into (node, key) global tables:
-  // a quiescent node costs zero bytes here, the per-epoch reset is an O(live
-  // entries) clear instead of an O(N) sweep over per-node maps, and wiping a
-  // dead node is an erase_if.  Keys mix the pid/level/parent-stack instance
-  // hash (see identification.cpp); the node id is stored verbatim so the
-  // dedup semantics are exactly the old per-node containers'.
-  struct NodeKey {
-    NodeId node;
-    uint64_t key;
-    friend bool operator==(const NodeKey& a, const NodeKey& b) {
-      return a.node == b.node && a.key == b.key;
-    }
-  };
-  struct NodeKeyHash {
-    size_t operator()(const NodeKey& k) const {
-      uint64_t h = static_cast<uint64_t>(k.node) * 0x9E3779B97F4A7C15ull;
-      h ^= k.key + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-      return static_cast<size_t>(h);
-    }
-  };
+  // Identification bookkeeping in node-bucketed NodeTables (node_table.h):
+  // a node costs one chain head per table until it holds entries, and wiping
+  // a dead node or resetting its cancel dedup costs only that node's entries.
+  // Keys mix the pid/level/parent-stack instance hash (see
+  // identification.cpp); the node id is stored verbatim beside the key, so
+  // dedup is exact per node.
   uint64_t next_pid_ = 1;
   struct SliceResult {
     Box box;
     int round = 0;  ///< for aging out results of dead processes
   };
-  std::unordered_map<NodeKey, SliceResult, NodeKeyHash> slice_results_;
+  NodeTable<SliceResult> slice_results_;
   struct CornerCollect {
     Box box;
     int arrivals = 0;
     int round = 0;
     bool invalid = false;  ///< inconsistent sections: the block is not stable
   };
-  std::unordered_map<NodeKey, CornerCollect, NodeKeyHash> corner_collect_;
+  NodeTable<CornerCollect> corner_collect_;
   // Per-(corner, anchor) launch log: last launch round + attempts this
   // epoch.  A corner whose identification keeps failing (e.g. its walks are
   // permanently blocked by a diagonally touching block) is abandoned after a
   // few tries so the system can quiesce — it stays uninformed, which only
-  // costs routing detours, never correctness.
+  // costs routing detours, never correctness.  An entry from an older epoch
+  // reads as absent, so a fault event re-arms every corner without walking
+  // the table; the age-out drops such entries.
   struct LaunchBook {
     int last_round = 0;
     int attempts = 0;
+    uint32_t epoch = 0;
   };
-  std::unordered_map<NodeKey, LaunchBook, NodeKeyHash> launch_book_;
+  NodeTable<LaunchBook> launch_book_;
 
   // Mailboxes (one hop per round each).
   MailboxSystem<IdentMessage>* ident_mail();
@@ -337,8 +325,8 @@ class DistributedFaultModel final : public SynchronousProtocol {
   std::vector<std::vector<BlockInfo>> formed_at_corner_;
 
   // Merge-flood dedup: (info box, carrier box, surface) triples processed,
-  // keyed by (node, triple hash) in one global set.
-  std::unordered_set<NodeKey, NodeKeyHash> merge_seen_;
+  // keyed by (node, triple hash).
+  NodeTable<NoValue> merge_seen_;
 
   // Cancel-flood dedup.  Keyed by (box, epoch, carrier, surface) so the wave
   // traverses the entire envelope even across nodes that already dropped the
@@ -346,7 +334,7 @@ class DistributedFaultModel final : public SynchronousProtocol {
   // it reaches the ring nodes that must cancel the walls.  The per-node
   // entry count preserves the historical bounded-memory rule (a node's keys
   // are dropped when it accumulates > 512).
-  std::unordered_set<NodeKey, NodeKeyHash> cancel_seen_;
+  NodeTable<NoValue> cancel_seen_;
   std::vector<uint16_t> cancel_seen_count_;
 
   // ---- active-set round engine state (options_.active_set) ----

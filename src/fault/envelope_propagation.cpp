@@ -44,7 +44,7 @@ void DistributedFaultModel::handle_info_message(NodeId node, const InfoMessage& 
   if (merge_flood) {
     const uint64_t key =
         merge_key(m.info.box, m.carrier, m.surface_dim, m.surface_positive != 0);
-    fresh = merge_seen_.insert(NodeKey{node, key}).second;
+    fresh = merge_seen_.try_emplace(node, key).second;
     Provenance prov;
     prov.via = InfoVia::kMerged;
     prov.carrier = m.carrier;

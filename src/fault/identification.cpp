@@ -24,13 +24,23 @@ namespace lgfi {
 
 namespace {
 
-/// Dims present in a mask, ascending.
-std::vector<int> mask_dims(uint8_t mask) {
-  std::vector<int> out;
-  for (int d = 0; d < kMaxDims; ++d)
-    if (mask & (1u << d)) out.push_back(d);
-  return out;
-}
+/// Dims present in a mask, ascending, in fixed inline storage: the handlers
+/// below take this list for every identification message they see.
+class MaskDims {
+ public:
+  explicit MaskDims(uint8_t mask) {
+    for (int d = 0; d < kMaxDims; ++d)
+      if (mask & (1u << d)) dims_[static_cast<size_t>(size_++)] = static_cast<int8_t>(d);
+  }
+  [[nodiscard]] size_t size() const { return static_cast<size_t>(size_); }
+  [[nodiscard]] int operator[](size_t i) const { return dims_[i]; }
+  [[nodiscard]] const int8_t* begin() const { return dims_.data(); }
+  [[nodiscard]] const int8_t* end() const { return dims_.data() + size_; }
+
+ private:
+  std::array<int8_t, kMaxDims> dims_{};
+  int size_ = 0;
+};
 
 /// Identity of a process *instance*.  In n >= 4 the recursion can reach the
 /// same subspace through different parent chains (slice x then y vs y then
@@ -68,7 +78,8 @@ bool DistributedFaultModel::evaluate_corner_node(NodeId id, int retry) {
     if (covered) continue;
 
     const uint64_t anchor_key = static_cast<uint64_t>(CoordHash{}(e.anchor));
-    auto& book = launch_book_[NodeKey{id, anchor_key}];
+    LaunchBook& book = *launch_book_.try_emplace(id, anchor_key).first;
+    if (book.epoch != epoch_) book = LaunchBook{.epoch = epoch_};
     constexpr int kMaxAttempts = 6;
     if (book.attempts >= kMaxAttempts) continue;  // abandoned this epoch
     uncovered_corner = true;
@@ -91,15 +102,16 @@ int DistributedFaultModel::launch_retry_interval() const {
 }
 
 void DistributedFaultModel::age_identification_bookkeeping() {
-  // Age out bookkeeping of dead processes.
+  // Age out bookkeeping of dead processes and launch logs of past epochs.
   if (rounds_run_ % 64 != 0) return;
   const int horizon = 2 * default_ttl();
-  if (!slice_results_.empty())
-    std::erase_if(slice_results_,
-                  [&](const auto& kv) { return rounds_run_ - kv.second.round > horizon; });
-  if (!corner_collect_.empty())
-    std::erase_if(corner_collect_,
-                  [&](const auto& kv) { return rounds_run_ - kv.second.round > horizon; });
+  const auto expired = [&](NodeId, uint64_t, const auto& entry) {
+    return rounds_run_ - entry.round > horizon;
+  };
+  slice_results_.erase_if(expired);
+  corner_collect_.erase_if(expired);
+  launch_book_.erase_if(
+      [&](NodeId, uint64_t, const LaunchBook& book) { return book.epoch != epoch_; });
 }
 
 bool DistributedFaultModel::trigger_identifications() {
@@ -143,7 +155,6 @@ void DistributedFaultModel::launch_process(NodeId corner, const LevelEntry& entr
 
   IdentMessage base;
   base.pid = next_pid_++;
-  base.origin = c;
   base.level = static_cast<int8_t>(n);
   base.free_mask = static_cast<uint8_t>((1u << n) - 1);
   base.partial = Box::point(entry.anchor);
@@ -175,7 +186,6 @@ void DistributedFaultModel::launch_subprocess(const Coord& at, int level, uint8_
                                               int parent_walk_sign) {
   IdentMessage base;
   base.pid = parent.pid;
-  base.origin = parent.origin;
   base.level = static_cast<int8_t>(level);
   base.free_mask = free_mask;
   base.out_signs = out_signs;
@@ -189,7 +199,7 @@ void DistributedFaultModel::launch_subprocess(const Coord& at, int level, uint8_
   }
   base.ttl = parent.ttl;
 
-  const auto dims = mask_dims(free_mask);
+  const MaskDims dims(free_mask);
   // The subprocess's initiation corner anchor (the diagonal member).
   Coord anchor = at;
   for (int d : dims) anchor = anchor.shifted(d, -out_signs[static_cast<size_t>(d)]);
@@ -229,7 +239,7 @@ void DistributedFaultModel::launch_subprocess(const Coord& at, int level, uint8_
   }
 }
 
-void DistributedFaultModel::handle_ident_message(NodeId node, IdentMessage m) {
+void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage& m) {
   const Coord c = mesh_->coord_of(node);
   auto trace = [&](const char* what) {
     if (options_.trace)
@@ -237,7 +247,14 @@ void DistributedFaultModel::handle_ident_message(NodeId node, IdentMessage m) {
                    static_cast<unsigned long long>(m.pid), static_cast<int>(m.kind),
                    static_cast<int>(m.level), c.to_string().c_str(), what);
   };
-  if (--m.ttl <= 0) {
+  // What the node forwards (or hands to a completion) is a copy with this
+  // hop's TTL spent; discards copy nothing.
+  auto forwarded = [&m] {
+    IdentMessage f = m;
+    --f.ttl;
+    return f;
+  };
+  if (m.ttl <= 1) {
     trace("ttl-expired");
     return;
   }
@@ -245,12 +262,11 @@ void DistributedFaultModel::handle_ident_message(NodeId node, IdentMessage m) {
     trace("discard-not-enabled");
     return;
   }
-  const auto free_dims = mask_dims(m.free_mask);
 
   // Anchor this node would have as an edge/side node of the process
   // (inward over the out dims, which exclude the walk dim).
   Coord side_anchor = c;
-  for (int d : free_dims) {
+  for (int d : MaskDims(m.free_mask)) {
     const int8_t sgn = m.out_signs[static_cast<size_t>(d)];
     if (sgn != 0) side_anchor = side_anchor.shifted(d, -sgn);
   }
@@ -261,11 +277,12 @@ void DistributedFaultModel::handle_ident_message(NodeId node, IdentMessage m) {
       if (has_level_entry(node, side_anchor, m.level - 1)) {
         // Still on the edge: hull, activate the slice's down-level process,
         // keep walking.
-        m.partial = m.partial.hull(side_anchor);
-        uint8_t sub_mask = m.free_mask & static_cast<uint8_t>(~(1u << j));
-        launch_subprocess(c, m.level - 1, sub_mask, m.out_signs, m, j, m.walk_sign);
-        const Coord next = c.shifted(j, m.walk_sign);
-        if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(m));
+        IdentMessage f = forwarded();
+        f.partial = f.partial.hull(side_anchor);
+        uint8_t sub_mask = f.free_mask & static_cast<uint8_t>(~(1u << j));
+        launch_subprocess(c, f.level - 1, sub_mask, f.out_signs, f, j, f.walk_sign);
+        const Coord next = c.shifted(j, f.walk_sign);
+        if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(f));
         return;
       }
       // Far corner of the edge?
@@ -284,37 +301,38 @@ void DistributedFaultModel::handle_ident_message(NodeId node, IdentMessage m) {
       // Side node: out only in out_dim.
       const Coord expect_side = c.shifted(out, -out_sign);
       if (has_level_entry(node, expect_side, 1)) {
-        m.partial = m.partial.hull(expect_side);
-        const Coord next = c.shifted(m.walk_dim, m.walk_sign);
-        if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(m));
+        IdentMessage f = forwarded();
+        f.partial = f.partial.hull(expect_side);
+        const Coord next = c.shifted(f.walk_dim, f.walk_sign);
+        if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(f));
         return;
       }
       // Corner of the ring: out in out_dim and walk_dim.
       const Coord corner_anchor = expect_side.shifted(m.walk_dim, -m.walk_sign);
       if (has_level_entry(node, corner_anchor, 2)) {
-        m.partial = m.partial.hull(corner_anchor);
         if (m.turns == 0) {
-          const int8_t old_out = m.out_dim;
-          const int8_t old_out_sign = out_sign;
-          m.out_dim = m.walk_dim;
-          m.out_signs[static_cast<size_t>(m.walk_dim)] = m.walk_sign;
-          m.walk_dim = old_out;
-          m.walk_sign = static_cast<int8_t>(-old_out_sign);
-          m.out_signs[static_cast<size_t>(old_out)] = 0;
-          m.turns = 1;
-          const Coord next = c.shifted(m.walk_dim, m.walk_sign);
-          if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(m));
+          IdentMessage f = forwarded();
+          f.partial = f.partial.hull(corner_anchor);
+          f.out_dim = m.walk_dim;
+          f.out_signs[static_cast<size_t>(m.walk_dim)] = m.walk_sign;
+          f.walk_dim = static_cast<int8_t>(out);
+          f.walk_sign = static_cast<int8_t>(-out_sign);
+          f.out_signs[static_cast<size_t>(out)] = 0;
+          f.turns = 1;
+          const Coord next = c.shifted(f.walk_dim, f.walk_sign);
+          if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(f));
           return;
         }
         // Second corner: the opposite 2-level corner — the section (or, for
         // n == 2, the block) is identified when both walkers agree.
+        const Box partial = m.partial.hull(corner_anchor);
         const uint64_t key =
             instance_key(m.pid, m.level, m.free_mask, m.parent_dims, m.parent_signs, m.depth);
-        auto& cc = corner_collect_[NodeKey{node, key}];
+        CornerCollect& cc = *corner_collect_.try_emplace(node, key).first;
         cc.round = rounds_run_;
         if (cc.arrivals == 0) {
-          cc.box = m.partial;
-        } else if (!(cc.box == m.partial)) {
+          cc.box = partial;
+        } else if (!(cc.box == partial)) {
           cc.invalid = true;  // inconsistent sections: not stable
         }
         ++cc.arrivals;
@@ -323,8 +341,10 @@ void DistributedFaultModel::handle_ident_message(NodeId node, IdentMessage m) {
           // Reconstruct the completion corner's full out signs: the corner
           // is out in the current walk dim too (sign = walk direction), so
           // the collector spawned downstream computes correct anchors.
-          m.out_signs[static_cast<size_t>(m.walk_dim)] = m.walk_sign;
-          process_complete(node, m, corner_anchor, cc.box);
+          IdentMessage f = forwarded();
+          f.partial = partial;
+          f.out_signs[static_cast<size_t>(f.walk_dim)] = f.walk_sign;
+          process_complete(node, f, corner_anchor, cc.box);
         }
         return;
       }
@@ -336,16 +356,17 @@ void DistributedFaultModel::handle_ident_message(NodeId node, IdentMessage m) {
       const int j = m.walk_dim;
       if (has_level_entry(node, side_anchor, m.level - 1)) {
         // Opposite-edge node: wait for the slice result, merge, move on.
-        const auto it = slice_results_.find(NodeKey{
+        const SliceResult* slice = slice_results_.find(
             node,
-            instance_key(m.pid, m.level, m.free_mask, m.parent_dims, m.parent_signs, m.depth)});
-        if (it == slice_results_.end()) {
-          ident_mail_->send(node, std::move(m));  // wait one round
+            instance_key(m.pid, m.level, m.free_mask, m.parent_dims, m.parent_signs, m.depth));
+        IdentMessage f = forwarded();
+        if (slice == nullptr) {
+          ident_mail_->send(node, std::move(f));  // wait one round
           return;
         }
-        m.partial = m.partial.hull(it->second.box);
-        const Coord next = c.shifted(j, m.walk_sign);
-        if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(m));
+        f.partial = f.partial.hull(slice->box);
+        const Coord next = c.shifted(j, f.walk_sign);
+        if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(f));
         return;
       }
       // The opposite corner C' of this level-k process.
@@ -353,7 +374,7 @@ void DistributedFaultModel::handle_ident_message(NodeId node, IdentMessage m) {
       if (has_level_entry(node, corner_anchor, m.level)) {
         const uint64_t key =
             instance_key(m.pid, m.level, m.free_mask, m.parent_dims, m.parent_signs, m.depth);
-        auto& cc = corner_collect_[NodeKey{node, key}];
+        CornerCollect& cc = *corner_collect_.try_emplace(node, key).first;
         cc.round = rounds_run_;
         if (cc.arrivals == 0) {
           cc.box = m.partial;
@@ -363,8 +384,9 @@ void DistributedFaultModel::handle_ident_message(NodeId node, IdentMessage m) {
         ++cc.arrivals;
         trace(cc.invalid ? "collector-arrival-inconsistent" : "collector-arrival");
         if (cc.arrivals == m.level - 1 && !cc.invalid) {
-          m.out_signs[static_cast<size_t>(m.walk_dim)] = m.walk_sign;
-          process_complete(node, m, corner_anchor, cc.box);
+          IdentMessage f = forwarded();
+          f.out_signs[static_cast<size_t>(f.walk_dim)] = f.walk_sign;
+          process_complete(node, f, corner_anchor, cc.box);
         }
         return;
       }
@@ -416,10 +438,10 @@ void DistributedFaultModel::process_complete(NodeId node, const IdentMessage& m,
   const int pj = m.parent_dims[static_cast<size_t>(m.depth - 1)];
   const int ps = m.parent_signs[static_cast<size_t>(m.depth - 1)];
 
-  slice_results_[NodeKey{node, instance_key(m.pid, parent_level,
-                                             static_cast<uint8_t>(m.free_mask | (1u << pj)),
-                                             m.parent_dims, m.parent_signs, m.depth - 1)}] =
-      SliceResult{box, rounds_run_};
+  const uint64_t parent_key =
+      instance_key(m.pid, parent_level, static_cast<uint8_t>(m.free_mask | (1u << pj)),
+                   m.parent_dims, m.parent_signs, m.depth - 1);
+  *slice_results_.try_emplace(node, parent_key).first = SliceResult{box, rounds_run_};
 
   if (options_.trace)
     std::fprintf(stderr, "[ident r%d] pid=%llu slice-complete lvl=%d at %s box=%s\n",
@@ -434,7 +456,6 @@ void DistributedFaultModel::process_complete(NodeId node, const IdentMessage& m,
 
   IdentMessage col;
   col.pid = m.pid;
-  col.origin = m.origin;
   col.kind = IdentMessage::kCollector;
   col.level = static_cast<int8_t>(parent_level);
   col.walk_dim = static_cast<int8_t>(pj);

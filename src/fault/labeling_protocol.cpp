@@ -25,7 +25,12 @@ DistributedFaultModel::DistributedFaultModel(const Topology& mesh,
       levels_prev_(static_cast<size_t>(mesh.node_count())),
       levels_prev_round_(static_cast<size_t>(mesh.node_count()), -1),
       info_(mesh),
+      slice_results_(mesh.node_count()),
+      corner_collect_(mesh.node_count()),
+      launch_book_(mesh.node_count()),
       formed_at_corner_(static_cast<size_t>(mesh.node_count())),
+      merge_seen_(mesh.node_count()),
+      cancel_seen_(mesh.node_count()),
       cancel_seen_count_(static_cast<size_t>(mesh.node_count()), 0),
       levels_marked_(static_cast<size_t>(mesh.node_count()), 0),
       cancel_marked_(static_cast<size_t>(mesh.node_count()), 0),
@@ -101,15 +106,11 @@ void DistributedFaultModel::wipe_node_memory(NodeId node) {
   levels_prev_round_[static_cast<size_t>(node)] = -1;
   if (has_corner_[static_cast<size_t>(node)] == 1)
     has_corner_[static_cast<size_t>(node)] = 2;  // stays in corner_nodes_; compacted lazily
-  const auto is_node = [node](const auto& entry) {
-    if constexpr (requires { entry.first.node; }) return entry.first.node == node;
-    else return entry.node == node;
-  };
-  std::erase_if(slice_results_, is_node);
-  std::erase_if(corner_collect_, is_node);
-  std::erase_if(launch_book_, is_node);
-  std::erase_if(merge_seen_, is_node);
-  std::erase_if(cancel_seen_, is_node);
+  slice_results_.erase_node(node);
+  corner_collect_.erase_node(node);
+  launch_book_.erase_node(node);
+  merge_seen_.erase_node(node);
+  cancel_seen_.erase_node(node);
   cancel_seen_count_[static_cast<size_t>(node)] = 0;
   formed_at_corner_[static_cast<size_t>(node)].clear();
 }
@@ -137,9 +138,8 @@ void DistributedFaultModel::inject_fault(const Coord& c) {
   const NodeId node = mesh_->index_of(c);
   // The failed node's memory is gone with it.
   wipe_node_memory(node);
-  ++epoch_;
   // New epoch: abandoned identifications get a fresh chance.
-  launch_book_.clear();
+  ++epoch_;
   if (options_.active_set) on_status_event(node);
 }
 
@@ -151,7 +151,6 @@ void DistributedFaultModel::recover(const Coord& c) {
   wipe_node_memory(node);
   freshly_clean_[static_cast<size_t>(node)] = 1;
   ++epoch_;
-  launch_book_.clear();
   if (options_.active_set) on_status_event(node);
 }
 
@@ -357,16 +356,8 @@ long long DistributedFaultModel::memory_bytes() const {
   for (const auto& v : levels_prev_) bytes += sizeof(v) + vec_bytes(v, sizeof(LevelEntry));
   for (const auto& v : formed_at_corner_) bytes += sizeof(v) + vec_bytes(v, sizeof(BlockInfo));
   bytes += info_.memory_bytes();
-  // Consolidated bookkeeping tables: entries plus hash-table node overhead.
-  constexpr long long kMapOverhead = 16;
-  bytes += static_cast<long long>(slice_results_.size()) *
-           (static_cast<long long>(sizeof(NodeKey) + sizeof(SliceResult)) + kMapOverhead);
-  bytes += static_cast<long long>(corner_collect_.size()) *
-           (static_cast<long long>(sizeof(NodeKey) + sizeof(CornerCollect)) + kMapOverhead);
-  bytes += static_cast<long long>(launch_book_.size()) *
-           (static_cast<long long>(sizeof(NodeKey) + sizeof(LaunchBook)) + kMapOverhead);
-  bytes += static_cast<long long>(merge_seen_.size() + cancel_seen_.size()) *
-           (static_cast<long long>(sizeof(NodeKey)) + kMapOverhead);
+  bytes += slice_results_.memory_bytes() + corner_collect_.memory_bytes() +
+           launch_book_.memory_bytes() + merge_seen_.memory_bytes() + cancel_seen_.memory_bytes();
   bytes += ident_mail_->memory_bytes() + info_mail_->memory_bytes() +
            wall_mail_->memory_bytes() + cancel_mail_->memory_bytes();
   return bytes;

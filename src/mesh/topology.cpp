@@ -3,8 +3,18 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace lgfi {
+
+bool grid_fits(const std::vector<int>& extents, int concentration) {
+  long long count = concentration;
+  for (int e : extents) {
+    if (count > kMaxNodeCount / e) return false;
+    count *= e;
+  }
+  return true;
+}
 
 Topology::Topology(std::vector<int> extents, uint32_t wrap_mask, int concentration)
     : extents_(std::move(extents)), wrap_mask_(wrap_mask), concentration_(concentration) {
@@ -13,6 +23,9 @@ Topology::Topology(std::vector<int> extents, uint32_t wrap_mask, int concentrati
   for (int e : extents_)
     if (e < 1) throw std::invalid_argument("topology extent must be positive");
   if (concentration_ < 1) throw std::invalid_argument("concentration must be >= 1");
+  if (!grid_fits(extents_, concentration_))
+    throw std::invalid_argument("topology has more than " + std::to_string(kMaxNodeCount) +
+                                " nodes or terminals (node ids and terminal slots are 32-bit)");
   strides_.assign(extents_.size(), 1);
   node_count_ = 1;
   for (int i = dims() - 1; i >= 0; --i) {

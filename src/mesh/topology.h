@@ -35,6 +35,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,6 +49,15 @@ namespace lgfi {
 /// Dense node identifier in [0, node_count()).
 using NodeId = int32_t;
 inline constexpr NodeId kInvalidNode = -1;
+
+/// The largest node count, and the largest terminal count, a Topology
+/// accepts: node ids are NodeId and terminal slots are int.
+inline constexpr long long kMaxNodeCount = std::numeric_limits<NodeId>::max();
+
+/// True if the grid's node count times `concentration` is at most
+/// kMaxNodeCount.  Checked before each multiply, so it never overflows.
+/// Pre: every extent and `concentration` are >= 1.
+[[nodiscard]] bool grid_fits(const std::vector<int>& extents, int concentration = 1);
 
 class Topology {
  public:

@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "src/core/dynamic_simulation.h"
 #include "src/core/experiment_runner.h"
 #include "src/fault/distributed_model.h"
 #include "src/mesh/topology.h"
+#include "src/sim/fault_schedule.h"
+#include "src/sim/fault_timeline.h"
 #include "src/sim/rng.h"
 
 namespace lgfi {
@@ -137,6 +142,74 @@ TEST(ActiveSet, ReportByteIdenticalAcrossEnginesAndThreadCounts) {
   EXPECT_EQ(base, report_with(8, true));
   EXPECT_EQ(base, report_with(1, false));
   EXPECT_EQ(base, report_with(8, false));
+}
+
+/// The protocol's exact work, and the distinct block boxes its nodes hold.
+struct ProtocolWork {
+  long long visits = 0;
+  long long messages = 0;
+  int rounds = 0;
+  long long envelope_deposits = 0;
+  long long wall_deposits = 0;
+  std::vector<std::string> boxes;
+};
+
+ProtocolWork work_of(const DistributedFaultModel& m) {
+  ProtocolWork w{m.protocol_node_visits(), m.messages_sent(), m.rounds_run(),
+                 m.envelope_deposits(), m.wall_deposits(), {}};
+  std::set<Box> boxes;
+  for (NodeId id = 0; id < m.mesh().node_count(); ++id)
+    for (const auto& b : m.info().at(id)) boxes.insert(b.box);
+  for (const auto& b : boxes) w.boxes.push_back(b.to_string());
+  return w;
+}
+
+void expect_work(const ProtocolWork& got, const ProtocolWork& want) {
+  EXPECT_EQ(got.visits, want.visits);
+  EXPECT_EQ(got.messages, want.messages);
+  EXPECT_EQ(got.rounds, want.rounds);
+  EXPECT_EQ(got.envelope_deposits, want.envelope_deposits);
+  EXPECT_EQ(got.wall_deposits, want.wall_deposits);
+  EXPECT_EQ(got.boxes, want.boxes);
+}
+
+// Both engines share the bookkeeping tables and the mailboxes, so the
+// lockstep comparison above cannot see a dedup or delivery-order change
+// that affects both.  These two runs pin the protocol's exact work to
+// reference values, recorded with the earlier hash-table and per-node-inbox
+// layout: any change to a message, pid or dedup decision fails here.
+
+TEST(ProtocolWork, LifecycleChurnOn3DMeshIsPinned) {
+  const MeshTopology mesh(3, 10);
+  Config cfg = experiment_config();
+  cfg.set_str("fault_model", "lifecycle");
+  cfg.set_double("fault_arrival_rate", 0.1);
+  cfg.set_double("repair_rate", 0.02);
+  cfg.set_double("transient_frac", 0.3);
+  Rng rng(21);
+  DynamicSimulation sim(mesh, build_lifecycle_timeline(mesh, cfg, rng, 600));
+  sim.run();
+  expect_work(work_of(sim.model()),
+              {191928, 179353, 721, 16508, 9303,
+               {"[1:1, 1:1, 1:1]", "[1:1, 1:1, 3:3]", "[1:1, 4:5, 2:3]", "[1:1, 8:8, 1:1]",
+                "[1:1, 8:8, 3:3]", "[3:4, 1:2, 3:3]", "[3:3, 4:4, 4:4]", "[3:3, 5:5, 5:6]",
+                "[3:3, 5:5, 6:6]", "[3:3, 8:8, 3:3]", "[3:3, 8:8, 4:4]", "[4:4, 1:1, 6:6]",
+                "[4:4, 2:2, 3:3]", "[4:4, 4:4, 1:1]", "[5:5, 4:4, 5:5]", "[5:6, 5:5, 7:8]",
+                "[5:5, 8:8, 7:7]", "[6:6, 4:4, 5:5]"}});
+}
+
+TEST(ProtocolWork, Static5DConvergenceIsPinned) {
+  const MeshTopology mesh(5, 6);
+  Rng rng(7);
+  DistributedFaultModel model(mesh);
+  for (const auto& c : clustered_fault_placement(mesh, 8, rng)) model.inject_fault(c);
+  for (const auto& c : random_fault_placement(mesh, 3, rng))
+    if (model.field().at(c) != NodeStatus::kFaulty) model.inject_fault(c);
+  EXPECT_EQ(model.stabilize().total, 46);
+  expect_work(work_of(model),
+              {60215, 400149, 47, 4887, 1307,
+               {"[1:4, 2:4, 2:4, 1:1, 1:1]", "[3:3, 3:3, 1:1, 3:3, 1:1]",
+                "[3:3, 3:3, 3:3, 3:3, 4:4]", "[4:4, 1:1, 2:2, 4:4, 1:1]"}});
 }
 
 }  // namespace

@@ -79,7 +79,8 @@ TEST(Mailbox, DeterministicDeliveryOrder) {
   mb.send(0, 2);
   mb.send(0, 3);
   mb.flip();
-  EXPECT_EQ(mb.inbox(0), (std::vector<int>{1, 2, 3}));
+  const auto inbox = mb.inbox(0);
+  EXPECT_EQ(std::vector<int>(inbox.begin(), inbox.end()), (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Mailbox, PendingAndStats) {
@@ -91,6 +92,71 @@ TEST(Mailbox, PendingAndStats) {
   mb.flip();
   EXPECT_EQ(mb.stats().messages_sent, 1);
   EXPECT_EQ(mb.stats().rounds_flipped, 1);
+}
+
+TEST(Mailbox, RandomRoundsDeliverEachInboxInSendOrder) {
+  // The BSP contract against a per-node reference, over many rounds of
+  // random sends: active() is strictly ascending, every inbox is exactly
+  // that node's sends in send order, mail sent while an inbox is being read
+  // arrives next round, and pending()/stats() agree with the reference.
+  constexpr int kNodes = 40;
+  MailboxSystem<int> mb(kNodes);
+  Rng rng(17);
+  std::vector<std::vector<int>> expect(kNodes);  // reference: delivered this round
+  std::vector<std::vector<int>> sent(kNodes);    // reference: sent this round
+  long long total_sent = 0;
+  long long pending = 0;
+  int next_value = 0;
+  const auto send = [&](NodeId to) {
+    mb.send(to, next_value);
+    sent[static_cast<size_t>(to)].push_back(next_value++);
+    ++total_sent;
+    ++pending;
+  };
+  for (int round = 1; round <= 300; ++round) {
+    // Bursts may hit one node often; every tenth round reads without
+    // replying, so the round after it is empty.
+    const bool replies = round % 10 != 0;
+    const int sends = round % 10 == 1 ? 0 : rng.uniform_int(0, 3 * kNodes);
+    for (int i = 0; i < sends; ++i)
+      send(rng.uniform_int(0, 2) == 0 ? NodeId{5} : NodeId{rng.uniform_int(0, kNodes - 1)});
+    ASSERT_EQ(mb.pending(), pending);
+    ASSERT_EQ(mb.next_round_empty(), pending == 0);
+
+    mb.flip();
+    pending = 0;
+    expect.swap(sent);
+    for (auto& box : sent) box.clear();
+    ASSERT_EQ(mb.stats().rounds_flipped, round);
+    ASSERT_EQ(mb.stats().messages_sent, total_sent);
+    ASSERT_EQ(mb.pending(), 0);
+
+    std::vector<NodeId> want_active;
+    for (NodeId id = 0; id < kNodes; ++id)
+      if (!expect[static_cast<size_t>(id)].empty()) want_active.push_back(id);
+    ASSERT_EQ(mb.active(), want_active) << "round " << round;
+    for (NodeId id = 0; id < kNodes; ++id) {
+      const auto inbox = mb.inbox(id);
+      ASSERT_EQ(std::vector<int>(inbox.begin(), inbox.end()), expect[static_cast<size_t>(id)])
+          << "round " << round << " node " << id;
+      // Replies sent while reading (to self and to a random node) must not
+      // disturb this round's inboxes.
+      for (const int msg : inbox) {
+        if (!replies) break;
+        if (msg % 3 == 0) send(id);
+        if (msg % 5 == 0) send(rng.uniform_int(0, kNodes - 1));
+      }
+    }
+    for (NodeId id = 0; id < kNodes; ++id) {
+      const auto inbox = mb.inbox(id);
+      ASSERT_EQ(std::vector<int>(inbox.begin(), inbox.end()), expect[static_cast<size_t>(id)]);
+    }
+  }
+  mb.clear();
+  EXPECT_TRUE(mb.next_round_empty());
+  EXPECT_TRUE(mb.active().empty());
+  mb.flip();
+  for (NodeId id = 0; id < kNodes; ++id) EXPECT_TRUE(mb.inbox(id).empty());
 }
 
 // A protocol that is active for exactly `n` rounds.

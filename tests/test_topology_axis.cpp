@@ -8,6 +8,9 @@
 #include <deque>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "src/core/experiment_runner.h"
 #include "src/core/topology_registry.h"
@@ -190,6 +193,51 @@ TEST(TopologyRegistry, ExtentsSpecOverridesMeshDimsAndRadix) {
 TEST(TopologyRegistry, ConcentrationRequiresCMesh) {
   EXPECT_THROW((void)make_topology(config_with("topology=mesh concentration=4")), ConfigError);
   EXPECT_THROW((void)make_topology(config_with("topology=torus concentration=4")), ConfigError);
+}
+
+TEST(TopologySize, NodeIdsAndTerminalSlotsMustFit32Bits) {
+  // The largest square grid whose ids fit NodeId still constructs (a
+  // Topology holds no per-node storage).
+  const MeshTopology big(std::vector<int>{46340, 46340});
+  EXPECT_EQ(big.node_count(), 2147395600LL);
+  EXPECT_EQ(big.index_of(Coord{46339, 46339}), 2147395599);
+  EXPECT_THROW(MeshTopology(std::vector<int>{46341, 46341}), std::invalid_argument);
+  // The product is checked before each multiply, so no signed overflow.
+  EXPECT_THROW(MeshTopology(8, 100000), std::invalid_argument);
+  EXPECT_THROW(TorusTopology(std::vector<int>{70000, 70000}), std::invalid_argument);
+  // Terminal slots (node * concentration + terminal) are int as well.
+  EXPECT_NO_THROW(CMeshTopology(std::vector<int>{46340, 46340}, 1));
+  EXPECT_THROW(CMeshTopology(std::vector<int>{46340, 46340}, 2), std::invalid_argument);
+  // The bound is exact.
+  EXPECT_TRUE(grid_fits({2147483647}));
+  EXPECT_FALSE(grid_fits({2147483647}, 2));
+  EXPECT_TRUE(grid_fits({65536, 32767}));
+  EXPECT_FALSE(grid_fits({65536, 32768}));
+}
+
+void expect_rejected_naming(const std::string& overrides, const std::vector<std::string>& keys) {
+  try {
+    (void)make_topology(config_with(overrides));
+    ADD_FAILURE() << overrides << ": must throw ConfigError";
+  } catch (const ConfigError& e) {
+    const std::string msg = e.what();
+    for (const auto& key : keys) EXPECT_NE(msg.find(key), std::string::npos) << msg;
+  }
+}
+
+TEST(TopologyRegistry, OversizedOrNarrowingGridsAreRejectedNamingTheirKeys) {
+  expect_rejected_naming("mesh_dims=2 radix=46341", {"mesh_dims=2", "radix=46341"});
+  expect_rejected_naming("mesh_dims=8 radix=100000", {"mesh_dims=8", "radix=100000"});
+  expect_rejected_naming("extents=70000,70000", {"extents=70000,70000"});
+  // Values wider than int are refused, not narrowed (4294967298 -> 2).
+  expect_rejected_naming("radix=4294967298", {"radix"});
+  expect_rejected_naming("mesh_dims=4294967298", {"mesh_dims"});
+  expect_rejected_naming("topology=cmesh radix=4 concentration=4294967298", {"concentration"});
+  expect_rejected_naming("topology=cmesh radix=46340 concentration=2",
+                         {"radix=46340", "concentration=2"});
+  expect_rejected_naming("mesh_dims=-1", {"mesh_dims"});
+  expect_rejected_naming("radix=0", {"radix"});
+  EXPECT_EQ(make_topology(config_with("radix=46340"))->node_count(), 2147395600LL);
 }
 
 TEST(TopologyEagerValidation, FaultBoxOutsideBoundsRejectedUpFront) {
