@@ -40,9 +40,7 @@ int main() {
   TablePrinter t({"i", "t_i", "a_i", "measured D(i)", "Theorem-3 bound", "holds"});
   bool all_hold = true;
   for (size_t i = 0; i < tl.t.size(); ++i) {
-    const int measured = i < msg.distance_at_occurrence.size()
-                             ? msg.distance_at_occurrence[i]
-                             : 0;
+    const int measured = msg.distance_at(i);
     const bool holds = measured <= bounds[i];
     all_hold = all_hold && holds;
     t.add_row({TablePrinter::num((long long)(i + 1)), TablePrinter::num(tl.t[i]),
@@ -79,8 +77,8 @@ int main() {
       const auto b2 = theorem3_distance_bounds(tl2, m.initial_distance);
       out.add("runs", 1.0);
       int bad = 0;
-      for (size_t i = 0; i < tl2.t.size() && i < m.distance_at_occurrence.size(); ++i)
-        if (m.distance_at_occurrence[i] > b2[i]) ++bad;
+      for (size_t i = 0; i < tl2.t.size(); ++i)
+        if (m.distance_at(i) > b2[i]) ++bad;
       out.add("violations", bad);
     });
     runs += static_cast<int>(res.metrics.has("runs") ? res.metrics.stats("runs").sum() : 0);

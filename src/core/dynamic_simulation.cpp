@@ -62,14 +62,24 @@ RoutingContext DynamicSimulation::context() const {
 }
 
 int DynamicSimulation::launch_message(const Coord& source, const Coord& dest) {
+  std::vector<PathEntry> storage;
+  if (!path_pool_.empty()) {
+    storage = std::move(path_pool_.back());
+    path_pool_.pop_back();
+  }
   MessageProgress msg(static_cast<int>(messages_.size()), source, dest,
-                      mesh_->min_hops(source, dest));
+                      mesh_->min_hops(source, dest), std::move(storage));
   msg.start_step = now_;
   if (options_.persistent_marks) msg.header.enable_persistent_marks();
   // Occurrences that already happened have D(i) = D (message at source).
-  msg.distance_at_occurrence.assign(occurrences_.size(), msg.initial_distance);
+  msg.first_occurrence = occurrences_.size();
   messages_.push_back(std::move(msg));
   ++active_messages_;
+  // Between occurrences, drop finished ids once they are half the list, so
+  // it stays O(in flight) at amortized O(1) per launch.
+  if (unsettled_.size() >= 2 * static_cast<size_t>(active_messages_))
+    std::erase_if(unsettled_, [this](int id) { return message(id).done(); });
+  unsettled_.push_back(messages_.back().id);
   switching_->add_packet(messages_.back().id, mesh_->index_of(source));
   return messages_.back().id;
 }
@@ -127,13 +137,17 @@ void DynamicSimulation::apply_fault_events(StepContext& ctx) {
   converging_ = static_cast<int>(occurrences_.size()) - 1;
   ctx.occurrence_opened = true;
 
-  // Record D(i) for every in-flight message at this occurrence.
-  for (auto& msg : messages_) {
-    const int d = (msg.delivered || msg.unreachable)
-                      ? 0
-                      : mesh_->min_hops(msg.header.current(), msg.header.destination());
-    msg.distance_at_occurrence.push_back(d);
+  // Record D(i) for every in-flight message at this occurrence; a message
+  // seen finished leaves the list, its D(i) settled from here on.
+  size_t keep = 0;
+  for (const int id : unsettled_) {
+    MessageProgress& msg = messages_[static_cast<size_t>(id)];
+    if (msg.done()) continue;
+    msg.distance_at_occurrence.push_back(
+        mesh_->min_hops(msg.header.current(), msg.header.destination()));
+    unsettled_[keep++] = id;
   }
+  unsettled_.resize(keep);
 
   if (options_.info_mode == InfoMode::kInstantGlobal) {
     // The oracle baseline sees the *final* blocks of this change instantly.
@@ -180,6 +194,10 @@ void DynamicSimulation::run_information_rounds(StepContext& ctx) {
 
 void DynamicSimulation::finish_message(MessageProgress& msg, StepContext& ctx) {
   msg.end_step = now_;
+  msg.settled_distance = (msg.delivered || msg.unreachable)
+                             ? 0
+                             : mesh_->min_hops(msg.header.current(), msg.header.destination());
+  path_pool_.push_back(msg.header.release_path());
   --active_messages_;
   ++ctx.finished;
 }

@@ -30,6 +30,8 @@
 // The simulation also records the quantities of Table 1: occurrence times
 // t_i, per-occurrence convergence rounds a_i (labeling), b_i
 // (identification), c_i (boundary), e_max, and per-message D(i) snapshots.
+// Per-message state other than the MessageProgress record itself is held
+// only while the message is in flight (DESIGN.md §7, "In-flight state").
 
 #include <memory>
 #include <vector>
@@ -91,16 +93,32 @@ struct MessageProgress {
   /// destination (delivery happens when the tail ejects); -1 under ideal
   /// switching, where head arrival *is* delivery.
   long long head_arrival_step = -1;
-  /// D(i) at each fault occurrence (Theorem 3's measured trajectory);
-  /// parallel to occurrence_steps() of the simulation.
+  /// D(i) recorded while in flight: entry k is D at occurrence
+  /// first_occurrence + k, one entry per occurrence until the message is
+  /// seen finished.  Read the whole trajectory through distance_at().
   std::vector<int> distance_at_occurrence;
+  size_t first_occurrence = 0;  ///< occurrences that happened before launch
+  /// D(i) at every occurrence after the message finished: 0 once delivered
+  /// or unreachable, min_hops(final position, destination) once exhausted.
+  int settled_distance = 0;
 
   /// `min_distance` is the topology's fault-free min_hops(s, d) — the
-  /// baseline detours() measures against.
-  MessageProgress(int id_, const Coord& s, const Coord& d, int min_distance)
-      : id(id_), header(s, d), initial_distance(min_distance) {}
+  /// baseline detours() measures against.  `path_storage` is a released
+  /// path stack for the header to reuse.
+  MessageProgress(int id_, const Coord& s, const Coord& d, int min_distance,
+                  std::vector<PathEntry> path_storage = {})
+      : id(id_), header(s, d, std::move(path_storage)), initial_distance(min_distance) {}
 
   [[nodiscard]] bool done() const { return delivered || unreachable || budget_exhausted; }
+
+  /// D(i), Theorem 3's measured trajectory, at occurrence i of the
+  /// simulation (valid for i < occurrences().size()): D before launch, the
+  /// recorded value while in flight, settled_distance afterwards.
+  [[nodiscard]] int distance_at(size_t i) const {
+    if (i < first_occurrence) return initial_distance;
+    const size_t k = i - first_occurrence;
+    return k < distance_at_occurrence.size() ? distance_at_occurrence[k] : settled_distance;
+  }
 
   /// Extra steps beyond the fault-free minimum once delivered.
   [[nodiscard]] long long detours() const {
@@ -189,6 +207,10 @@ class DynamicSimulation final : public SwitchingHost {
   [[nodiscard]] long long active_messages() const { return active_messages_; }
   [[nodiscard]] bool all_messages_done() const { return active_messages_ == 0; }
 
+  /// Path stacks released by finished messages and not yet reused by a
+  /// launch; never more than the peak number of messages in flight.
+  [[nodiscard]] size_t pooled_path_stacks() const { return path_pool_.size(); }
+
   /// Total channel-traversal requests denied by arbitration so far.
   [[nodiscard]] long long total_stalls() const {
     return arbiter_ ? arbiter_->total_stalled() : 0;
@@ -231,6 +253,11 @@ class DynamicSimulation final : public SwitchingHost {
   std::unique_ptr<LinkArbiter> arbiter_;  ///< present iff switching_->arbitrated()
 
   std::vector<MessageProgress> messages_;
+  /// Ids of messages not yet seen finished, in launch order: the only
+  /// messages an occurrence records D(i) for.
+  std::vector<int> unsettled_;
+  /// Path stacks of finished messages, handed to the next launches.
+  std::vector<std::vector<PathEntry>> path_pool_;
   std::vector<OccurrenceRecord> occurrences_;
   long long now_ = 0;
   long long active_messages_ = 0;

@@ -66,11 +66,11 @@ void TrafficWorkload::inject(bool measured, TrafficResult& result) {
       }
       if (process_->closed_loop()) {
         PairState pair;
+        pair.msg_id = id;
         pair.slot = slot;
         pair.measured = measured;
         pair.start_step = view.step;
-        requests_.emplace(id, pair);
-        inflight_.push_back(id);
+        pairs_.push_back(pair);
       }
     }
   }
@@ -88,26 +88,23 @@ void TrafficWorkload::fail_pair(const PairState& pair, const MessageProgress* ms
 }
 
 void TrafficWorkload::post_step(TrafficResult& result) {
-  if (!process_->closed_loop() || inflight_.empty()) return;
+  if (!process_->closed_loop() || pairs_.empty()) return;
   const StatusField& field = sim_->model().field();
-  std::vector<int> alive;
-  alive.reserve(inflight_.size());
-  for (const int id : inflight_) {
-    if (!sim_->message(id).done()) {
-      alive.push_back(id);
+  size_t keep = 0;
+  for (size_t i = 0; i < pairs_.size(); ++i) {
+    PairState pair = pairs_[i];
+    const MessageProgress& msg = sim_->message(pair.msg_id);
+    if (!msg.done()) {
+      pairs_[keep++] = pair;
       continue;
     }
-    const auto req = requests_.find(id);
-    if (req != requests_.end()) {
-      PairState pair = req->second;
-      requests_.erase(req);
-      // Copy everything out of the message record before launching the
+    if (!msg.delivered) {
+      fail_pair(pair, &msg, result);
+      continue;
+    }
+    if (!pair.reply) {
+      // Copy everything out of the request's record before launching the
       // reply: launch_message may reallocate the message table.
-      const MessageProgress& msg = sim_->message(id);
-      if (!msg.delivered) {
-        fail_pair(pair, &msg, result);
-        continue;
-      }
       const Coord reply_src = msg.header.destination();
       const Coord reply_dst = msg.header.source();
       pair.request_stalls = msg.stall_steps;
@@ -118,18 +115,10 @@ void TrafficWorkload::post_step(TrafficResult& result) {
         fail_pair(pair, nullptr, result);
         continue;
       }
-      const int reply_id = sim_->launch_message(reply_src, reply_dst);
+      pair.msg_id = sim_->launch_message(reply_src, reply_dst);
+      pair.reply = true;
       ++result.injected;
-      replies_.emplace(reply_id, pair);
-      alive.push_back(reply_id);
-      continue;
-    }
-    const auto rep = replies_.find(id);
-    PairState pair = rep->second;
-    replies_.erase(rep);
-    const MessageProgress& msg = sim_->message(id);
-    if (!msg.delivered) {
-      fail_pair(pair, &msg, result);
+      pairs_[keep++] = pair;
       continue;
     }
     process_->on_slot_released(pair.slot);
@@ -141,7 +130,7 @@ void TrafficWorkload::post_step(TrafficResult& result) {
       result.stall_steps += pair.request_stalls + msg.stall_steps;
     }
   }
-  inflight_ = std::move(alive);
+  pairs_.resize(keep);
 }
 
 TrafficResult TrafficWorkload::run() {
@@ -190,10 +179,7 @@ TrafficResult TrafficWorkload::run() {
   if (process_->closed_loop()) {
     // The measurement population is pairs; anything still holding a window
     // entry at the cap is unfinished.
-    for (const auto& [id, pair] : requests_) {
-      if (pair.measured) ++result.measured_unfinished;
-    }
-    for (const auto& [id, pair] : replies_) {
+    for (const PairState& pair : pairs_) {
       if (pair.measured) ++result.measured_unfinished;
     }
   } else {

@@ -30,7 +30,6 @@
 // reduces exactly to the historical single-message dynamic experiment, which
 // is how the Theorem 3-5 regime stays reachable from the traffic surface.
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,9 +95,11 @@ class TrafficWorkload {
   TrafficResult run();
 
  private:
-  /// A closed-loop request-reply pair, keyed first by the request id, then
-  /// (once the reply launches) by the reply id.
+  /// A closed-loop request-reply pair, tracked by the message carrying it:
+  /// the request, then (once the request is delivered) the reply.
   struct PairState {
+    int msg_id = 0;
+    bool reply = false;  ///< msg_id is the reply
     int slot = 0;
     bool measured = false;
     long long start_step = 0;       ///< request launch step
@@ -127,10 +128,9 @@ class TrafficWorkload {
   InjectionProcess* process_;
   std::unique_ptr<TraceWriter> trace_;
 
-  // Closed-loop state (unused for open-loop processes).
-  std::vector<int> inflight_;             ///< request/reply ids still flying
-  std::map<int, PairState> requests_;     ///< request id -> pair
-  std::map<int, PairState> replies_;      ///< reply id -> pair (request done)
+  /// Closed-loop pairs in flight, in request launch order (unused for
+  /// open-loop processes).  post_step compacts it in place.
+  std::vector<PairState> pairs_;
 };
 
 }  // namespace lgfi

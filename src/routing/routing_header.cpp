@@ -1,15 +1,18 @@
 #include "src/routing/routing_header.h"
 
 #include <cassert>
+#include <utility>
 
 namespace lgfi {
 
-RoutingHeader::RoutingHeader(const Coord& source, const Coord& destination)
-    : destination_(destination) {
+RoutingHeader::RoutingHeader(const Coord& source, const Coord& destination,
+                             std::vector<PathEntry> storage)
+    : destination_(destination), source_(source), current_(source), path_(std::move(storage)) {
+  path_.clear();
   path_.push_back(PathEntry{source, Direction::none(), {}});
 }
 
-void RoutingHeader::forward(Direction d) { forward(d, d.apply(path_.back().node)); }
+void RoutingHeader::forward(Direction d) { forward(d, d.apply(current_)); }
 
 void RoutingHeader::forward(Direction d, const Coord& next) {
   assert(!d.is_none());
@@ -21,6 +24,7 @@ void RoutingHeader::forward(Direction d, const Coord& next) {
     const auto it = marks_.find(next);
     if (it != marks_.end()) entry.used = it->second;
   }
+  current_ = entry.node;
   path_.push_back(std::move(entry));
   ++forward_steps_;
 }
@@ -28,6 +32,7 @@ void RoutingHeader::forward(Direction d, const Coord& next) {
 void RoutingHeader::backtrack() {
   assert(!at_source());
   path_.pop_back();
+  current_ = path_.back().node;
   if (persistent_marks_ && !path_.empty()) {
     // A deeper duplicate entry of this node may have gone stale while the
     // path looped through it; resync from the authoritative map.
@@ -44,6 +49,11 @@ void RoutingHeader::unmark(Direction d) {
     const auto it = marks_.find(path_.back().node);
     if (it != marks_.end()) it->second.erase(d);
   }
+}
+
+std::vector<PathEntry> RoutingHeader::release_path() {
+  marks_ = {};
+  return std::exchange(path_, {});
 }
 
 void RoutingHeader::enable_persistent_marks() { persistent_marks_ = true; }

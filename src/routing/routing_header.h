@@ -10,6 +10,10 @@
 // system is dynamic; priorities may legitimately differ on a revisit), which
 // is the paper's design; the walker enforces a step budget as the safety
 // net, and a persistent-marking variant exists as an ablation (E9).
+//
+// A finished message gives its stack back (release_path) for a later header
+// to reuse; the endpoints, the final position and the step counters outlive
+// it (DESIGN.md §7, "In-flight state").
 
 #include <unordered_map>
 #include <vector>
@@ -28,11 +32,14 @@ struct PathEntry {
 
 class RoutingHeader {
  public:
-  RoutingHeader(const Coord& source, const Coord& destination);
+  /// `storage` is a released path stack to build on (emptied first, its
+  /// capacity kept); the default starts from no storage.
+  RoutingHeader(const Coord& source, const Coord& destination, std::vector<PathEntry> storage = {});
 
   [[nodiscard]] const Coord& destination() const { return destination_; }
-  [[nodiscard]] const Coord& current() const { return path_.back().node; }
-  [[nodiscard]] const Coord& source() const { return path_.front().node; }
+  /// The node the header is at; once released, the final position.
+  [[nodiscard]] const Coord& current() const { return current_; }
+  [[nodiscard]] const Coord& source() const { return source_; }
   [[nodiscard]] bool at_source() const { return path_.size() == 1; }
 
   [[nodiscard]] PathEntry& top() { return path_.back(); }
@@ -60,6 +67,11 @@ class RoutingHeader {
   /// bounds the retries.
   void unmark(Direction d);
 
+  /// Gives up the path stack for a later header to build on; persistent
+  /// marks are dropped.  Afterwards path() is empty and only the read
+  /// accessors above and below may be called.
+  [[nodiscard]] std::vector<PathEntry> release_path();
+
   // --- accounting (not part of the on-wire header; experiment bookkeeping)
   [[nodiscard]] int forward_steps() const { return forward_steps_; }
   [[nodiscard]] int backtrack_steps() const { return backtrack_steps_; }
@@ -76,6 +88,8 @@ class RoutingHeader {
 
  private:
   Coord destination_;
+  Coord source_;
+  Coord current_;  ///< path_.back().node while the stack is held
   std::vector<PathEntry> path_;
   int forward_steps_ = 0;
   int backtrack_steps_ = 0;

@@ -1,14 +1,17 @@
-// Tests for the open-loop traffic engine: the zero-injection reduction to
-// the historical single-message experiment, warmup/measure/drain phasing,
-// and the determinism contract (same seed => identical latency histograms,
-// byte-identical reports for any thread count).
+// Tests for the traffic engine: the zero-injection reduction to the
+// historical single-message experiment, warmup/measure/drain phasing,
+// closed-loop pair accounting under link churn, and the determinism contract
+// (same seed => identical latency histograms, byte-identical reports for any
+// thread count).
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/core/experiment_runner.h"
 #include "src/core/traffic_workload.h"
+#include "src/sim/injection_process.h"
 
 namespace lgfi {
 namespace {
@@ -123,6 +126,124 @@ TEST(TrafficWorkload, ContentionProducesStallsUnderLoad) {
   const TrafficResult r = workload.run();
   EXPECT_GT(r.stall_steps, 0) << "bit_complement at 0.4 must contend on an 8x8 mesh";
   EXPECT_GT(sim.total_stalls(), 0);
+}
+
+/// Forwards to a process and counts its window traffic: requests injected
+/// and pairs released.
+class WindowCounter final : public InjectionProcess {
+ public:
+  explicit WindowCounter(InjectionProcess& inner) : inner_(&inner) {}
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  void begin_step(const InjectionStepView& view) override { inner_->begin_step(view); }
+  [[nodiscard]] bool fire(int slot, Rng& rng) override { return inner_->fire(slot, rng); }
+  [[nodiscard]] bool replay_destination(int slot, Coord& dest) override {
+    return inner_->replay_destination(slot, dest);
+  }
+  void on_inject(int slot, int msg_id) override {
+    ++requests;
+    inner_->on_inject(slot, msg_id);
+  }
+  [[nodiscard]] bool closed_loop() const override { return inner_->closed_loop(); }
+  void on_slot_released(int slot) override {
+    ++released;
+    inner_->on_slot_released(slot);
+  }
+
+  long long requests = 0;
+  long long released = 0;
+
+ private:
+  InjectionProcess* inner_;
+};
+
+struct PairRun {
+  TrafficResult result;
+  long long requests = 0;
+  long long released = 0;
+  bool all_done = false;
+};
+
+/// Closed-loop request-reply traffic (window 4) on an 8x8 mesh whose links
+/// fail and recover throughout the injection phases.  A 100-move budget
+/// ends messages that circle a dead link within the drain cap.
+PairRun closed_loop_link_churn(const std::string& switching) {
+  Config cfg = experiment_config();
+  cfg.parse_string(
+      "traffic=uniform mesh_dims=2 radix=8 injection=closed_loop window=4 injection_rate=0.2 "
+      "fault_model=lifecycle_links fault_arrival_rate=0.4 repair_rate=0.05 transient_frac=0.3 "
+      "warmup_steps=20 measure_steps=200 routes=0 seed=23 step_budget=100");
+  cfg.set_str("switching", switching);
+  const ExperimentRunner runner(cfg);
+  Rng rng = Rng(23).fork(0);
+  ExperimentRunner::DynamicEnv env = runner.build_dynamic(rng, /*run_warmup=*/false);
+  const auto pattern = make_traffic_pattern("uniform", *env.mesh, cfg, rng);
+  const auto process = make_injection_process("closed_loop", *env.mesh, cfg, rng);
+  WindowCounter counter(*process);
+  TrafficWorkloadOptions topts;
+  topts.warmup_steps = cfg.get_int("warmup_steps");
+  topts.measure_steps = cfg.get_int("measure_steps");
+  TrafficWorkload workload(*env.sim, *pattern, counter, topts, rng);
+  PairRun run;
+  run.result = workload.run();
+  run.requests = counter.requests;
+  run.released = counter.released;
+  run.all_done = env.sim->all_messages_done();
+  return run;
+}
+
+/// Outcome counts of closed_loop_link_churn, recorded when the workload
+/// kept its pairs in an id list and two id-keyed maps.  Replies launch in
+/// the order post_step walks the pairs, so a change to that order moves
+/// message ids, arbitration and these counts.
+struct PinnedPairCounts {
+  const char* switching;
+  long long injected, measured, delivered, unreachable, exhausted, stall_steps, steps_run;
+};
+
+TEST(TrafficWorkload, ClosedLoopPairsAreConservedUnderLinkChurn) {
+  const PinnedPairCounts runs[] = {
+      {"ideal", 4203, 1864, 1856, 0, 8, 11558, 351},
+      {"wormhole", 1153, 457, 301, 130, 26, 23702, 1199},
+  };
+  for (const PinnedPairCounts& pinned : runs) {
+    const std::string switching = pinned.switching;
+    SCOPED_TRACE(switching);
+    const PairRun run = closed_loop_link_churn(switching);
+    const TrafficResult& r = run.result;
+    EXPECT_EQ(r.injected, pinned.injected);
+    EXPECT_EQ(r.measured, pinned.measured);
+    EXPECT_EQ(r.measured_delivered, pinned.delivered);
+    EXPECT_EQ(r.measured_unreachable, pinned.unreachable);
+    EXPECT_EQ(r.measured_exhausted, pinned.exhausted);
+    EXPECT_EQ(r.stall_steps, pinned.stall_steps);
+    EXPECT_EQ(r.steps_run, pinned.steps_run);
+
+    ASSERT_GT(r.measured, 100);
+    EXPECT_GT(r.measured_unreachable + r.measured_exhausted, 0) << "the churn must fail pairs";
+    const long long classified = r.measured_delivered + r.measured_unreachable +
+                                 r.measured_exhausted + r.measured_unfinished;
+    EXPECT_EQ(r.measured, classified);
+
+    // A drained run ends every pair, so every window slot it took comes back.
+    ASSERT_TRUE(run.all_done);
+    EXPECT_EQ(r.measured_unfinished, 0);
+    EXPECT_EQ(run.released, run.requests);
+
+    const PairRun again = closed_loop_link_churn(switching);
+    EXPECT_EQ(again.requests, run.requests);
+    EXPECT_EQ(again.released, run.released);
+    EXPECT_EQ(again.result.offered, r.offered);
+    EXPECT_EQ(again.result.injected, r.injected);
+    EXPECT_EQ(again.result.measured, r.measured);
+    EXPECT_EQ(again.result.measured_delivered, r.measured_delivered);
+    EXPECT_EQ(again.result.measured_unreachable, r.measured_unreachable);
+    EXPECT_EQ(again.result.measured_exhausted, r.measured_exhausted);
+    EXPECT_EQ(again.result.measured_unfinished, r.measured_unfinished);
+    EXPECT_EQ(again.result.stall_steps, r.stall_steps);
+    EXPECT_EQ(again.result.steps_run, r.steps_run);
+    EXPECT_EQ(again.result.latency.buckets(), r.latency.buckets());
+    EXPECT_EQ(again.result.measured_ids, r.measured_ids);
+  }
 }
 
 TEST(TrafficRunner, ReportByteIdenticalAcrossThreadCounts) {
