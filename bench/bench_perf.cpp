@@ -84,11 +84,11 @@ void BM_DynamicStep(benchmark::State& state) {
 BENCHMARK(BM_DynamicStep);
 
 // --- active-set scale benches (DESIGN.md §14) -----------------------------
-// The headline numbers of the active-set round engine: quiescent-step cost
-// must be independent of node count (the full scan grows ~8x from 32^3 to
-// 64^3), and steady-state steps/sec with localized faults must hold up at
-// 100^3 = one million nodes.  bytes_per_node tracks the resident footprint
-// of the per-node protocol state.
+// The headline numbers of the worklist round engine: quiescent-step cost
+// must be independent of node count, and steady-state steps/sec with
+// localized faults must hold up at 100^3 = one million nodes.
+// bytes_per_node tracks the resident footprint of the per-node protocol
+// state.
 
 /// Steps the simulation until the information model reports three
 /// consecutive quiet rounds (converged after the step-0 fault batch).
@@ -111,11 +111,8 @@ FaultSchedule localized_cluster() {
 
 void BM_QuiescentStep(benchmark::State& state) {
   const int radix = static_cast<int>(state.range(0));
-  const bool active = state.range(1) != 0;
   const MeshTopology mesh(3, radix);
-  DynamicSimulationOptions opts;
-  opts.model.active_set = active;
-  DynamicSimulation sim(mesh, localized_cluster(), opts);
+  DynamicSimulation sim(mesh, localized_cluster());
   converge(sim);
   const long long visits_before = sim.model().protocol_node_visits();
   for (auto _ : state) sim.step();
@@ -126,14 +123,7 @@ void BM_QuiescentStep(benchmark::State& state) {
   state.counters["bytes_per_node"] = static_cast<double>(sim.model().memory_bytes()) /
                                      static_cast<double>(mesh.node_count());
 }
-// 100^3 full-scan omitted: it only re-measures the O(N) scaling already
-// visible at 32 -> 64 and would dominate the perf job's wall clock.
-BENCHMARK(BM_QuiescentStep)
-    ->Args({32, 1})
-    ->Args({64, 1})
-    ->Args({100, 1})
-    ->Args({32, 0})
-    ->Args({64, 0});
+BENCHMARK(BM_QuiescentStep)->Arg(32)->Arg(64)->Arg(100);
 
 void BM_StepsPerSec(benchmark::State& state) {
   const int radix = static_cast<int>(state.range(0));

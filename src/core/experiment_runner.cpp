@@ -170,9 +170,10 @@ Config experiment_config() {
       .define_bool("persistent_marks", false,
                    "header ablation: marks survive backtracking (DESIGN.md 6.7)")
       .define_bool("active_set", true,
-                   "protocol rounds iterate dirty-node worklists instead of "
-                   "scanning all N nodes (DESIGN.md 14); false: historical "
-                   "full-scan engine (byte-identical trajectories)")
+                   "protocol worklists seeded from events and deliveries "
+                   "(DESIGN.md 14); false: every worklist seeded with every "
+                   "node each round, O(N) per round, the reference the "
+                   "equivalence tests compare against (same bytes)")
       .define_bool("ecube_strict", true,
                    "dimension_order: disabled nodes block the route too")
       .define_string("oracle_avoid", "block_members",

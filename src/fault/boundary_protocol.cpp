@@ -96,17 +96,12 @@ void DistributedFaultModel::handle_wall_message(NodeId node, const WallMessage& 
 bool DistributedFaultModel::round_boundary() {
   wall_mail_->flip();
   bool any = false;
-  auto deliver = [&](NodeId id) {
+  for (NodeId id : wall_mail_->active()) {
     ++protocol_node_visits_;
     for (const auto& msg : wall_mail_->inbox(id)) {
       any = true;
       handle_wall_message(id, msg);
     }
-  };
-  if (options_.active_set) {
-    for (NodeId id : wall_mail_->active()) deliver(id);
-  } else {
-    for (NodeId id = 0; id < field_.node_count(); ++id) deliver(id);
   }
   return any || wall_mail_->pending() > 0;
 }
@@ -391,51 +386,28 @@ bool DistributedFaultModel::round_cancel() {
   cancel_mail_->flip();
   bool any = false;
 
-  if (options_.active_set) {
-    // Consume the dirty worklist up front: marks made while processing (info
-    // removals, status fallout) belong to NEXT round's checks, exactly when
-    // the full scan would next observe their effects.  Phase order within
-    // the round — all corner checks, then all eager checks, then the inbox
-    // deliveries — matches the full scan below.
-    std::vector<NodeId> cur;
-    cur.swap(cancel_queue_);
-    for (NodeId id : cur) cancel_marked_[static_cast<size_t>(id)] = 0;
-    std::sort(cur.begin(), cur.end());
-    for (NodeId id : cur) {
-      ++protocol_node_visits_;
-      if (check_formed_corners(id)) any = true;
-    }
-    if (options_.eager_invalidation) {
-      for (NodeId id : cur) {
-        ++protocol_node_visits_;
-        // A condition that persists (the wave needs a round to come back and
-        // remove the entry) must re-fire next round like the full scan does.
-        if (check_eager_invalidation(id)) mark_cancel(id);
-      }
-    }
-    for (NodeId id : cancel_mail_->active()) {
-      ++protocol_node_visits_;
-      for (const auto& msg : cancel_mail_->inbox(id)) {
-        any = true;
-        handle_cancel_message(id, msg);
-      }
-    }
-    return any || cancel_mail_->pending() > 0;
-  }
-
-  for (NodeId id = 0; id < field_.node_count(); ++id) {
+  // Consume the dirty worklist up front: marks made while processing (info
+  // removals, status fallout) belong to NEXT round's checks.  Within the
+  // round, all corner checks run first, then all eager checks, then the
+  // inbox deliveries.
+  std::vector<NodeId> cur;
+  cur.swap(cancel_queue_);
+  for (NodeId id : cur) cancel_marked_[static_cast<size_t>(id)] = 0;
+  std::sort(cur.begin(), cur.end());
+  for (NodeId id : cur) {
     ++protocol_node_visits_;
     if (check_formed_corners(id)) any = true;
   }
-
   if (options_.eager_invalidation) {
-    for (NodeId id = 0; id < field_.node_count(); ++id) {
+    for (NodeId id : cur) {
       ++protocol_node_visits_;
-      (void)check_eager_invalidation(id);
+      // A condition that persists (the wave needs a round to come back and
+      // remove the entry) must re-fire next round, as it would with every
+      // node evaluated.
+      if (check_eager_invalidation(id)) mark_cancel(id);
     }
   }
-
-  for (NodeId id = 0; id < field_.node_count(); ++id) {
+  for (NodeId id : cancel_mail_->active()) {
     ++protocol_node_visits_;
     for (const auto& msg : cancel_mail_->inbox(id)) {
       any = true;

@@ -46,20 +46,16 @@ namespace lgfi {
 struct DistributedModelOptions {
   /// Base TTL for identification messages; 0 derives 4 * (sum of extents) + 16.
   int message_ttl = 0;
-  /// A level-n corner missing covering block info retries identification
-  /// after this many rounds; 0 derives 2 * (sum of extents) + 8.
-  int retry_interval = 0;
   /// Eager invalidation: any node holding info contradicted by a neighbour's
   /// member status starts a cancel wave (besides the corner-triggered
   /// deletion).  Ablatable; see DESIGN.md §6 note 8.
   bool eager_invalidation = true;
-  /// Active-set round engine (DESIGN.md §14): every round phase iterates a
-  /// dirty-node worklist seeded from fault events, inbox deliveries and
-  /// prior-round state changes instead of scanning all N nodes.  The BSP
-  /// one-hop rule makes the worklist sound — a node with no mail and no
-  /// neighbour change cannot act — so the trajectory is byte-identical to
-  /// the full scan; set false to run (and test against) the O(N)-per-round
-  /// historical path.
+  /// Worklist seeding (DESIGN.md §14).  Every round phase iterates a
+  /// dirty-node worklist; true seeds it from fault events, inbox deliveries
+  /// and prior-round state changes, which the BSP one-hop rule makes sound (a
+  /// node with no mail and no neighbour change cannot act).  False seeds
+  /// every worklist with every node each round: O(N) per round, the same
+  /// bytes, and the reference the engine-equivalence tests compare against.
   bool active_set = true;
   /// Prints identification message events to stderr (debugging aid).
   bool trace = false;
@@ -124,8 +120,8 @@ class DistributedFaultModel final : public SynchronousProtocol {
   [[nodiscard]] long long messages_sent() const { return messages_sent_; }
   [[nodiscard]] int rounds_run() const { return rounds_run_; }
   /// Per-node protocol evaluations performed so far, across all six round
-  /// phases.  Under the active-set engine a fully quiescent round performs
-  /// zero visits; the full scan performs ~6N (pinned by tests).
+  /// phases.  A fully quiescent round performs zero visits with seeded
+  /// worklists and 5N with every node marked (pinned by tests).
   [[nodiscard]] long long protocol_node_visits() const { return protocol_node_visits_; }
   /// Estimated resident bytes of the model's per-node state (SoA arrays,
   /// consolidated bookkeeping tables, mailboxes).  The bytes/node headline
@@ -156,12 +152,11 @@ class DistributedFaultModel final : public SynchronousProtocol {
   bool round_cancel();
 
   // identification.cpp helpers
-  /// Returns true while some level-n corner lacks covering block info.
-  /// Full-scan form; the active form evaluates only pending corner nodes.
+  /// Evaluates the pending corner nodes; returns true while some level-n
+  /// corner lacks covering block info.
   bool trigger_identifications();
-  bool trigger_identifications_active();
-  /// Shared per-corner-node launch logic; returns true if the node still has
-  /// an uncovered, non-abandoned level-n corner (= it must stay pending).
+  /// Per-corner-node launch logic; returns true if the node still has an
+  /// uncovered, non-abandoned level-n corner (= it must stay pending).
   bool evaluate_corner_node(NodeId id, int retry);
   [[nodiscard]] int launch_retry_interval() const;
   void age_identification_bookkeeping();
@@ -190,9 +185,9 @@ class DistributedFaultModel final : public SynchronousProtocol {
   // cancel (boundary_protocol.cpp)
   void start_cancel(NodeId origin, const Box& box, uint32_t epoch);
   void handle_cancel_message(NodeId node, const CancelMessage& m);
-  /// Returns true if it fired anything (a cancel wave or a local removal) —
-  /// the active-set engine re-marks such nodes so a persisting condition
-  /// re-fires next round exactly as the full scan does.
+  /// Returns true if it fired anything (a cancel wave or a local removal);
+  /// round_cancel re-marks such nodes so a persisting condition re-fires
+  /// next round.
   bool check_eager_invalidation(NodeId node);
   /// The corner-triggered deletion check for one node (the paper's rule);
   /// returns true if a cancel wave was started.
@@ -218,7 +213,7 @@ class DistributedFaultModel final : public SynchronousProtocol {
   bool deposit_info(NodeId node, const BlockInfo& info, const Provenance& prov = {});
   bool remove_info(NodeId node, const Box& box, uint32_t epoch);
 
-  // ---- active-set worklist plumbing (options_.active_set) ----
+  // ---- worklist plumbing ----
   void mark_levels(NodeId id) {
     if (levels_marked_[static_cast<size_t>(id)]) return;
     levels_marked_[static_cast<size_t>(id)] = 1;
@@ -236,9 +231,9 @@ class DistributedFaultModel final : public SynchronousProtocol {
     corner_pending_marked_[static_cast<size_t>(id)] = 1;
     corner_pending_.push_back(id);
   }
-  /// Per-node Definition-2 recomputation (shared by both engines).  Returns
-  /// true if the node's entry set changed; maintains the snapshot-on-write
-  /// prev view and (active engine) the downstream worklists.
+  /// Per-node Definition-2 recomputation.  Returns true if the node's entry
+  /// set changed; maintains the snapshot-on-write prev view and the
+  /// downstream worklists.
   bool visit_levels(NodeId id);
   /// The previous-round entry view of `id`: the snapshot if `id` was
   /// rewritten this round, the live entries otherwise.  Valid from
@@ -337,7 +332,7 @@ class DistributedFaultModel final : public SynchronousProtocol {
   NodeTable<NoValue> cancel_seen_;
   std::vector<uint16_t> cancel_seen_count_;
 
-  // ---- active-set round engine state (options_.active_set) ----
+  // ---- round worklists ----
   LabelingWorklist labeling_wl_;
   std::vector<uint8_t> levels_marked_;  ///< round_levels worklist flags
   std::vector<NodeId> levels_queue_;

@@ -130,17 +130,12 @@ void DistributedFaultModel::handle_info_message(NodeId node, const InfoMessage& 
 bool DistributedFaultModel::round_envelope() {
   info_mail_->flip();
   bool any = false;
-  auto deliver = [&](NodeId id) {
+  for (NodeId id : info_mail_->active()) {
     ++protocol_node_visits_;
     for (const auto& msg : info_mail_->inbox(id)) {
       any = true;
       handle_info_message(id, msg);
     }
-  };
-  if (options_.active_set) {
-    for (NodeId id : info_mail_->active()) deliver(id);
-  } else {
-    for (NodeId id = 0; id < field_.node_count(); ++id) deliver(id);
   }
   return any || info_mail_->pending() > 0;
 }

@@ -98,7 +98,7 @@ int DistributedFaultModel::launch_retry_interval() const {
   // completions dedup at the deposit.
   int max_extent = 0;
   for (int d = 0; d < mesh_->dims(); ++d) max_extent = std::max(max_extent, mesh_->extent(d));
-  return options_.retry_interval > 0 ? options_.retry_interval : 2 * max_extent + 8;
+  return 2 * max_extent + 8;
 }
 
 void DistributedFaultModel::age_identification_bookkeeping() {
@@ -115,23 +115,11 @@ void DistributedFaultModel::age_identification_bookkeeping() {
 }
 
 bool DistributedFaultModel::trigger_identifications() {
-  const int retry = launch_retry_interval();
-  const long long count = field_.node_count();
-  bool uncovered_corner = false;
-  for (NodeId id = 0; id < count; ++id) {
-    ++protocol_node_visits_;
-    if (evaluate_corner_node(id, retry)) uncovered_corner = true;
-  }
-  age_identification_bookkeeping();
-  return uncovered_corner;
-}
-
-bool DistributedFaultModel::trigger_identifications_active() {
   // Only pending corners can launch: a node joins the pending set when it
   // gains a level-n entry, loses covering info, or a new epoch re-arms its
   // abandoned attempts; it keeps itself pending while an uncovered,
-  // non-abandoned corner remains (matching the full scan's per-round
-  // activity flag exactly), and drops out otherwise.
+  // non-abandoned corner remains (so the round stays active, exactly as when
+  // every node is evaluated), and drops out otherwise.
   const int retry = launch_retry_interval();
   std::vector<NodeId> cur;
   cur.swap(corner_pending_);
@@ -416,8 +404,8 @@ void DistributedFaultModel::process_complete(NodeId node, const IdentMessage& m,
     }
     if (!known) formed.push_back(info);
     // The new formed entry must be condition-checked by this round's cancel
-    // phase, exactly as the full scan would.
-    if (options_.active_set) mark_cancel(node);
+    // phase.
+    mark_cancel(node);
     if (options_.trace)
       std::fprintf(stderr, "[ident r%d] pid=%llu BLOCK FORMED at %s box=%s\n", rounds_run_,
                    static_cast<unsigned long long>(m.pid), c.to_string().c_str(),
@@ -477,20 +465,14 @@ bool DistributedFaultModel::round_identification() {
   ident_mail_->flip();
   // An uncovered corner counts as activity even between retries: the
   // construction is not done until every corner is covered by block info.
-  const bool uncovered = options_.active_set ? trigger_identifications_active()
-                                             : trigger_identifications();
+  const bool uncovered = trigger_identifications();
   bool any = false;
-  auto deliver = [&](NodeId id) {
+  for (NodeId id : ident_mail_->active()) {
     ++protocol_node_visits_;
     for (const auto& msg : ident_mail_->inbox(id)) {
       any = true;
       handle_ident_message(id, msg);
     }
-  };
-  if (options_.active_set) {
-    for (NodeId id : ident_mail_->active()) deliver(id);
-  } else {
-    for (NodeId id = 0; id < field_.node_count(); ++id) deliver(id);
   }
   return any || uncovered || ident_mail_->pending() > 0;
 }

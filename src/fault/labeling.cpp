@@ -26,61 +26,6 @@ bool rule4_applies(const StatusField& field, NodeId id) {
   return !rule3_applies(field, id);
 }
 
-long long labeling_round(StatusField& field, std::vector<uint8_t>& freshly_clean) {
-  const long long n = field.node_count();
-  assert(static_cast<long long>(freshly_clean.size()) == n);
-
-  // Double-buffered: decisions read the previous round's statuses only.
-  std::vector<NodeStatus> next(static_cast<size_t>(n));
-  std::vector<uint8_t> next_fresh(static_cast<size_t>(n), 0);
-  long long changes = 0;
-
-  for (NodeId id = 0; id < n; ++id) {
-    const NodeStatus cur = field.at(id);
-    NodeStatus out = cur;
-    switch (cur) {
-      case NodeStatus::kFaulty:
-        break;  // rule 5 is an external event, not a round action
-      case NodeStatus::kEnabled:
-        if (rule1_applies(field, id)) out = NodeStatus::kDisabled;
-        break;
-      case NodeStatus::kDisabled:
-        if (rule2_applies(field, id)) {
-          out = NodeStatus::kClean;
-          next_fresh[static_cast<size_t>(id)] = 1;
-        }
-        break;
-      case NodeStatus::kClean:
-        if (freshly_clean[static_cast<size_t>(id)]) {
-          // Clean became visible to neighbours only this round; rules 3/4
-          // fire next round ("once all its neighbors know its clean status").
-          out = NodeStatus::kClean;
-        } else if (rule3_applies(field, id)) {
-          out = NodeStatus::kDisabled;
-        } else {
-          out = NodeStatus::kEnabled;  // rule 4
-        }
-        break;
-    }
-    next[static_cast<size_t>(id)] = out;
-    if (out != cur) ++changes;
-    if (cur == NodeStatus::kClean && freshly_clean[static_cast<size_t>(id)]) {
-      // The clean label is now published; staying clean this round counts as
-      // activity (the wave is still moving) only via neighbours' rule 2.
-      next_fresh[static_cast<size_t>(id)] = 0;
-      if (out == cur) {
-        // Not a status change, but the node must still be processed next
-        // round; report activity so convergence isn't declared early.
-        ++changes;
-      }
-    }
-  }
-
-  for (NodeId id = 0; id < n; ++id) field.set(id, next[static_cast<size_t>(id)]);
-  freshly_clean = std::move(next_fresh);
-  return changes;
-}
-
 void LabelingWorklist::mark_event(const StatusField& field, NodeId id) {
   mark(id);
   field.mesh().for_each_grid_neighbor(field.mesh().coord_of(id),
@@ -89,8 +34,8 @@ void LabelingWorklist::mark_event(const StatusField& field, NodeId id) {
                                       });
 }
 
-long long labeling_round_active(StatusField& field, std::vector<uint8_t>& freshly_clean,
-                                LabelingWorklist& wl, long long* visits) {
+long long labeling_round(StatusField& field, std::vector<uint8_t>& freshly_clean,
+                         LabelingWorklist& wl, long long* visits) {
   assert(static_cast<long long>(freshly_clean.size()) == field.node_count());
   assert(static_cast<long long>(wl.marked.size()) == field.node_count());
 
@@ -102,8 +47,8 @@ long long labeling_round_active(StatusField& field, std::vector<uint8_t>& freshl
   wl.changed.clear();
   if (visits != nullptr) *visits += static_cast<long long>(cur.size());
 
-  // Phase 1: decide from the unmodified field — the same double-buffered
-  // read labeling_round() gets from its full `next` array.
+  // Phase 1: decide from the unmodified field, so every decision reads the
+  // previous round's statuses (the double-buffered read of the round model).
   std::vector<NodeStatus> decision(cur.size());
   for (size_t i = 0; i < cur.size(); ++i) {
     const NodeId id = cur[i];
@@ -131,8 +76,8 @@ long long labeling_round_active(StatusField& field, std::vector<uint8_t>& freshl
     decision[i] = out;
   }
 
-  // Phase 2: apply, count changes exactly as labeling_round() does, and
-  // re-mark the one-hop neighbourhood of every transition for next round.
+  // Phase 2: apply, count changes, and re-mark the one-hop neighbourhood of
+  // every transition for next round.
   long long changes = 0;
   for (size_t i = 0; i < cur.size(); ++i) {
     const NodeId id = cur[i];
@@ -151,8 +96,7 @@ long long labeling_round_active(StatusField& field, std::vector<uint8_t>& freshl
     if (was_fresh) {
       // The clean label is now published; the node must be re-evaluated next
       // round (rules 3/4 fire then), and staying clean still counts as
-      // activity so convergence isn't declared early — both exactly as in
-      // labeling_round().
+      // activity so convergence isn't declared early.
       freshly_clean[static_cast<size_t>(id)] = 0;
       wl.mark(id);
       if (out == status) ++changes;
@@ -178,7 +122,7 @@ LabelingResult stabilize_labeling(StatusField& field, int max_rounds,
 
   LabelingResult r;
   for (int round = 0; round < max_rounds; ++round) {
-    const long long changes = labeling_round_active(field, fresh, wl);
+    const long long changes = labeling_round(field, fresh, wl);
     if (changes == 0) {
       r.converged = true;
       return r;

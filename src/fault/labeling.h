@@ -37,18 +37,14 @@ struct LabelingResult {
   long long status_changes = 0;  ///< total individual node transitions
 };
 
-/// One synchronous round over the whole field.  `freshly_clean` marks nodes
-/// whose clean status is not yet known to neighbours; it is updated in
-/// place.  Returns the number of nodes that changed status.
-long long labeling_round(StatusField& field, std::vector<uint8_t>& freshly_clean);
-
-/// Dirty-node worklist for the active-set labeling engine (DESIGN.md §14).
+/// Dirty-node worklist for one synchronous labeling round (DESIGN.md §14).
 /// Soundness rests on the BSP one-hop rule: rules 1-4 read only a node's own
 /// status and its grid neighbours' statuses, so a node whose inputs did not
 /// change since its last evaluation cannot transition.  The worklist holds
-/// every node with a changed input: labeling_round_active() re-marks the
-/// one-hop neighbourhood of every transition, and external events (fault
-/// injection, recovery) must be marked by the caller via mark_event().
+/// every node with a changed input: labeling_round() re-marks the one-hop
+/// neighbourhood of every transition, and external events (fault injection,
+/// recovery) must be marked by the caller via mark_event().  A worklist with
+/// every node marked is one round of the rules over the whole field.
 struct LabelingWorklist {
   std::vector<uint8_t> marked;  ///< membership flags for `queue`
   std::vector<NodeId> queue;    ///< nodes to evaluate next round (deduped)
@@ -67,21 +63,23 @@ struct LabelingWorklist {
   /// Marks a node and its grid neighbours (the read set of its neighbours'
   /// rules) — the seeding step for an external status event at `id`.
   void mark_event(const StatusField& field, NodeId id);
-  /// Marks every node — the full-scan seed for a cold start.
+  /// Marks every node: a cold start, or the mark-all reference round.
   void mark_all(long long node_count) {
     for (NodeId id = 0; id < node_count; ++id) mark(id);
   }
 };
 
-/// labeling_round restricted to the worklist: evaluates only the queued
-/// nodes, applies the identical rules with identical double-buffered timing,
-/// rebuilds the worklist for the next round from the transitions it applied,
-/// and records them in `wl.changed`.  The returned change count (and the
-/// resulting field trajectory) is byte-identical to labeling_round() as long
-/// as every external status event was seeded with mark_event().  `visits`,
+/// One synchronous round over the worklist: evaluates the queued nodes in
+/// ascending NodeId order, deciding every transition from the statuses
+/// visible at the end of the previous round (double-buffered), applies them,
+/// rebuilds the worklist for the next round and records the transitions in
+/// `wl.changed`.  `freshly_clean` marks nodes whose clean status is not yet
+/// known to neighbours; it is updated in place.  Returns the number of
+/// nodes that changed status, plus one per freshly-clean node that stayed
+/// clean while publishing its label (the wave is still moving).  `visits`,
 /// when non-null, is incremented once per node evaluated.
-long long labeling_round_active(StatusField& field, std::vector<uint8_t>& freshly_clean,
-                                LabelingWorklist& wl, long long* visits = nullptr);
+long long labeling_round(StatusField& field, std::vector<uint8_t>& freshly_clean,
+                         LabelingWorklist& wl, long long* visits = nullptr);
 
 /// Runs rounds until no status changes (or max_rounds).  The field is
 /// updated in place.  A fresh recovery must already be marked kClean (via

@@ -1,11 +1,11 @@
 // DistributedFaultModel: construction, the round driver, Algorithm 1 status
 // exchange, and Definition-2 level detection with anchors.
 //
-// Round phases come in two engines (DESIGN.md §14): the historical full scan
-// (options.active_set = false) touches every node every round; the active-set
-// engine evaluates only dirty-node worklists seeded from fault events, inbox
-// deliveries and prior-round state changes.  Both run the identical per-node
-// logic in ascending NodeId order, so their trajectories are byte-identical.
+// Every round phase evaluates a dirty-node worklist, seeded from fault events,
+// inbox deliveries and prior-round state changes, in ascending NodeId order
+// (DESIGN.md §14).  With options.active_set = false, run_round() marks every
+// node in every worklist first: the mark-all reference the tests compare the
+// seeded worklists against, byte-identical and O(N) per round.
 
 #include <algorithm>
 #include <cassert>
@@ -83,15 +83,14 @@ bool DistributedFaultModel::deposit_info(NodeId node, const BlockInfo& info,
                                          const Provenance& prov) {
   const bool fresh = info_.deposit(node, info, prov);
   // An information change can flip this node's eager-invalidation and
-  // corner-deletion predicates; the full scan re-checks every round, the
-  // active engine re-checks exactly the changed nodes.
-  if (fresh && options_.active_set) mark_cancel(node);
+  // corner-deletion predicates: re-check exactly the changed nodes.
+  if (fresh) mark_cancel(node);
   return fresh;
 }
 
 bool DistributedFaultModel::remove_info(NodeId node, const Box& box, uint32_t epoch) {
   const bool removed = info_.cancel(node, box, epoch);
-  if (removed && options_.active_set) {
+  if (removed) {
     mark_cancel(node);
     // A corner whose covering info vanished must re-trigger identification.
     if (has_corner_[static_cast<size_t>(node)] == 1) mark_corner_pending(node);
@@ -140,7 +139,7 @@ void DistributedFaultModel::inject_fault(const Coord& c) {
   wipe_node_memory(node);
   // New epoch: abandoned identifications get a fresh chance.
   ++epoch_;
-  if (options_.active_set) on_status_event(node);
+  on_status_event(node);
 }
 
 void DistributedFaultModel::recover(const Coord& c) {
@@ -151,7 +150,7 @@ void DistributedFaultModel::recover(const Coord& c) {
   wipe_node_memory(node);
   freshly_clean_[static_cast<size_t>(node)] = 1;
   ++epoch_;
-  if (options_.active_set) on_status_event(node);
+  on_status_event(node);
 }
 
 bool DistributedFaultModel::on_wall_column(const Coord& p, const Box& box, int dim,
@@ -189,12 +188,8 @@ std::optional<LevelEntry> DistributedFaultModel::entry_with_anchor(NodeId node,
 }
 
 bool DistributedFaultModel::round_labeling() {
-  if (!options_.active_set) {
-    protocol_node_visits_ += field_.node_count();
-    return labeling_round(field_, freshly_clean_) != 0;
-  }
   const long long changes =
-      labeling_round_active(field_, freshly_clean_, labeling_wl_, &protocol_node_visits_);
+      labeling_round(field_, freshly_clean_, labeling_wl_, &protocol_node_visits_);
   // A status change is an input change for the same round's Definition-2
   // pass and for the cancel-phase predicates of the one-hop neighbourhood.
   for (NodeId id : labeling_wl_.changed) {
@@ -268,23 +263,21 @@ bool DistributedFaultModel::visit_levels(NodeId id) {
   levels_prev_round_[static_cast<size_t>(id)] = levels_round_;
   live.assign(out.begin(), out.end());
 
-  if (options_.active_set) {
-    // Changed entries are next-round inputs for the one-hop neighbourhood
-    // and same-round inputs for the cancel-phase corner predicates.
-    mark_levels_neighborhood(id);
-    mark_cancel(id);
-    const int n = mesh_->dims();
-    bool has_n = false;
-    for (const auto& e : live)
-      if (e.level == n) has_n = true;
-    auto& flag = has_corner_[static_cast<size_t>(id)];
-    if (has_n) {
-      if (flag == 0) corner_nodes_.push_back(id);
-      flag = 1;
-      mark_corner_pending(id);
-    } else if (flag == 1) {
-      flag = 2;  // stays in corner_nodes_ until the next compaction
-    }
+  // Changed entries are next-round inputs for the one-hop neighbourhood and
+  // same-round inputs for the cancel-phase corner predicates.
+  mark_levels_neighborhood(id);
+  mark_cancel(id);
+  const int n = mesh_->dims();
+  bool has_n = false;
+  for (const auto& e : live)
+    if (e.level == n) has_n = true;
+  auto& flag = has_corner_[static_cast<size_t>(id)];
+  if (has_n) {
+    if (flag == 0) corner_nodes_.push_back(id);
+    flag = 1;
+    mark_corner_pending(id);
+  } else if (flag == 1) {
+    flag = 2;  // stays in corner_nodes_ until the next compaction
   }
   return true;
 }
@@ -295,12 +288,6 @@ bool DistributedFaultModel::round_levels() {
   // giving the n-1 extra rounds the recursive definition needs).
   ++levels_round_;
   bool changed = false;
-  if (!options_.active_set) {
-    const long long n = field_.node_count();
-    for (NodeId id = 0; id < n; ++id)
-      if (visit_levels(id)) changed = true;
-    return changed;
-  }
   std::vector<NodeId> cur;
   cur.swap(levels_queue_);
   for (NodeId id : cur) levels_marked_[static_cast<size_t>(id)] = 0;
@@ -311,6 +298,18 @@ bool DistributedFaultModel::round_levels() {
 }
 
 bool DistributedFaultModel::run_round() {
+  if (!options_.active_set) {
+    // The mark-all reference: every node is evaluated in every worklist
+    // phase this round.  Mail delivery needs no seeding (an empty inbox
+    // delivers nothing).
+    const long long count = field_.node_count();
+    labeling_wl_.mark_all(count);
+    for (NodeId id = 0; id < count; ++id) {
+      mark_levels(id);
+      mark_cancel(id);
+      mark_corner_pending(id);
+    }
+  }
   RoundActivity act;
   act.labeling = round_labeling();
   act.levels = round_levels();

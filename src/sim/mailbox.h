@@ -18,11 +18,10 @@
 //
 // Active-set bookkeeping (DESIGN.md §14): the system tracks the nodes with a
 // non-empty next-round box, and flip() sorts them, so round loops that
-// iterate active() visit inboxes in ascending NodeId order — the same order
-// as a full 0..N scan, which keeps message emission (and therefore every
-// downstream pid / dedup decision) byte-identical between the active-set and
-// full-scan round engines.  inbox(id) binary-searches active(), so the full
-// scan's call for every node stays cheap.
+// iterate active() visit inboxes in ascending NodeId order.  That order is
+// load-bearing: message emission, and therefore every downstream pid and
+// dedup decision, depends on it.  inbox(id) binary-searches active(), so a
+// node without mail costs O(log active) and yields an empty span.
 
 #include <algorithm>
 #include <cassert>
@@ -72,7 +71,7 @@ class MailboxSystem {
   void flip() {
     active_.swap(next_active_);
     next_active_.clear();
-    // Ascending order = the full-scan delivery order (see header comment).
+    // Ascending delivery order (see header comment).
     std::sort(active_.begin(), active_.end());
     // Counting sort by destination: next_count_ turns from per-node counts
     // into per-node write cursors, then back to zero for the next round.

@@ -1,5 +1,6 @@
 #include "src/sim/trace_io.h"
 
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -23,15 +24,22 @@ void write_varint(std::FILE* f, unsigned long long v) {
   } while (v != 0);
 }
 
-bool read_varint(std::FILE* f, unsigned long long& out) {
+enum class VarintRead { kOk, kEnd, kTruncated, kOverlong };
+
+/// kEnd only when the file ends before the varint's first byte; a file that
+/// ends inside it is kTruncated, and one that does not fit in 64 bits (more
+/// than ten bytes, or payload bits past bit 63) is kOverlong.
+VarintRead read_varint(std::FILE* f, unsigned long long& out) {
   out = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     const int c = std::fgetc(f);
-    if (c == EOF) return false;
-    out |= static_cast<unsigned long long>(c & 0x7f) << shift;
-    if ((c & 0x80) == 0) return true;
+    if (c == EOF) return shift == 0 ? VarintRead::kEnd : VarintRead::kTruncated;
+    const auto payload = static_cast<unsigned long long>(c & 0x7f);
+    if (shift == 63 && payload > 1) return VarintRead::kOverlong;
+    out |= payload << shift;
+    if ((c & 0x80) == 0) return VarintRead::kOk;
   }
-  return false;  // over-long encoding
+  return VarintRead::kOverlong;
 }
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
@@ -90,7 +98,10 @@ std::vector<TraceRecord> read_trace(const std::string& path, const Topology& mes
   }
   unsigned long long nodes = 0;
   unsigned long long concentration = 0;
-  if (!read_varint(f, nodes) || !read_varint(f, concentration)) fail(path, "truncated header");
+  if (read_varint(f, nodes) != VarintRead::kOk ||
+      read_varint(f, concentration) != VarintRead::kOk) {
+    fail(path, "truncated header");
+  }
   if (nodes != static_cast<unsigned long long>(mesh.node_count()) ||
       concentration != static_cast<unsigned long long>(mesh.concentration())) {
     fail(path, "recorded on a different topology (" + std::to_string(nodes) + " nodes x " +
@@ -104,19 +115,34 @@ std::vector<TraceRecord> read_trace(const std::string& path, const Topology& mes
   const long long slots =
       static_cast<long long>(mesh.node_count()) * static_cast<long long>(mesh.concentration());
   for (;;) {
-    unsigned long long delta = 0;
-    if (!read_varint(f, delta)) break;  // clean EOF between records
-    unsigned long long slot = 0;
-    unsigned long long dest = 0;
-    unsigned long long size = 0;
-    if (!read_varint(f, slot) || !read_varint(f, dest) || !read_varint(f, size)) {
-      fail(path, "truncated record");
+    const auto bad = [&](const char* what) {
+      fail(path, "record " + std::to_string(records.size()) + ": " + what);
+    };
+    // Step delta, slot, dest, size.  Only the first field may meet a clean
+    // end of file: that is the end between records.
+    unsigned long long fields[4] = {};
+    const VarintRead first = read_varint(f, fields[0]);
+    if (first == VarintRead::kEnd) break;
+    for (int i = 0; i < 4; ++i) {
+      const VarintRead got = i == 0 ? first : read_varint(f, fields[i]);
+      if (got == VarintRead::kEnd) bad("truncated record");
+      if (got == VarintRead::kTruncated) bad("truncated varint");
+      if (got == VarintRead::kOverlong) bad("over-long varint");
+    }
+    const auto [delta, slot, dest, size] = fields;
+    // Range checks come before the signed casts.
+    if (delta > static_cast<unsigned long long>(LLONG_MAX - step)) bad("step overflows");
+    if (slot >= static_cast<unsigned long long>(slots)) bad("slot out of range");
+    if (dest >= static_cast<unsigned long long>(mesh.node_count())) {
+      bad("destination out of range");
+    }
+    // Replay walks the records with one cursor, so a record at or before
+    // its predecessor's (step, slot) would never fire.
+    if (!records.empty() && delta == 0 &&
+        static_cast<long long>(slot) <= static_cast<long long>(records.back().slot)) {
+      bad("not after the previous record in (step, slot) order");
     }
     step += static_cast<long long>(delta);
-    if (static_cast<long long>(slot) >= slots) fail(path, "slot out of range");
-    if (dest >= static_cast<unsigned long long>(mesh.node_count())) {
-      fail(path, "destination out of range");
-    }
     TraceRecord r;
     r.step = step;
     r.slot = static_cast<int>(slot);

@@ -63,7 +63,10 @@ class TraceWriter {
 /// Reads a whole trace, validating the magic and that it was recorded on a
 /// topology with the same node count and concentration as `mesh` (slots and
 /// dest ids are meaningless otherwise).  Throws ConfigError on a missing
-/// file, a foreign format, a topology mismatch, or a truncated record.
+/// file, a foreign format or a topology mismatch, and, naming the record
+/// index, on a truncated record or varint, an over-long varint, a slot or
+/// destination out of range, a step past LLONG_MAX, or a record not strictly
+/// after its predecessor in (step, slot) order — the order TraceWriter emits.
 std::vector<TraceRecord> read_trace(const std::string& path, const Topology& mesh);
 
 }  // namespace lgfi

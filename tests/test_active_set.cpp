@@ -1,6 +1,6 @@
-// The active-set round engine contract (DESIGN.md §14): byte-identical
-// trajectories to the historical full-scan engine, and zero per-node work in
-// quiescent rounds.
+// The worklist round engine contract (DESIGN.md §14): seeded worklists give
+// byte-identical trajectories to the mark-all reference (every node marked
+// in every worklist each round), and zero per-node work in quiescent rounds.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,7 @@ DistributedModelOptions engine(bool active) {
   return o;
 }
 
-/// Asserts both engines hold exactly the same observable state.
+/// Asserts both models hold exactly the same observable state.
 void expect_same_state(const DistributedFaultModel& a, const DistributedFaultModel& b) {
   ASSERT_EQ(a.mesh().node_count(), b.mesh().node_count());
   EXPECT_EQ(a.rounds_run(), b.rounds_run());
@@ -45,85 +45,101 @@ void expect_same_state(const DistributedFaultModel& a, const DistributedFaultMod
   }
 }
 
-TEST(ActiveSet, TrajectoryMatchesFullScanThroughChurn) {
+/// The point (c, ..., c) with `bump` added in dimension `dim` (none if < 0).
+Coord diagonal(int dims, int c, int dim = -1, int bump = 0) {
+  Coord p(dims);
+  for (int d = 0; d < dims; ++d) p[d] = c;
+  return dim < 0 ? p : p.shifted(dim, bump);
+}
+
+TEST(ActiveSet, TrajectoryMatchesMarkAllThroughChurn) {
   // Inject, stabilize, recover, re-inject: every phase of the protocol stack
   // (labeling, levels, identification, envelope, walls, cancellation) fires,
-  // and after each round both engines must agree on all observable state.
-  const MeshTopology mesh(3, 8);
-  DistributedFaultModel active(mesh, engine(true));
-  DistributedFaultModel scan(mesh, engine(false));
-
-  Rng rng(11);
-  std::vector<Coord> injected;
-  const auto inject = [&](const Coord& c) {
-    active.inject_fault(c);
-    scan.inject_fault(c);
-    injected.push_back(c);
+  // and after each round both models must agree on all observable state.
+  // The 4-D and 5-D meshes drive the nested identification recursion
+  // (ring walks inside slices of slices, parent chains).
+  struct Shape {
+    int dims, radix, cluster, outlier;
   };
-  const auto lockstep_rounds = [&](int rounds) {
-    for (int r = 0; r < rounds; ++r) {
-      const bool aa = active.run_round();
-      const bool sa = scan.run_round();
-      ASSERT_EQ(aa, sa) << "round activity diverged at round " << r;
-      expect_same_state(active, scan);
-      if (!aa) break;
+  for (const Shape& shape : {Shape{3, 8, 2, 6}, Shape{4, 5, 1, 3}, Shape{5, 5, 1, 3}}) {
+    SCOPED_TRACE(std::to_string(shape.radix) + "^" + std::to_string(shape.dims));
+    const MeshTopology mesh(shape.dims, shape.radix);
+    DistributedFaultModel seeded(mesh, engine(true));
+    DistributedFaultModel mark_all(mesh, engine(false));
+
+    Rng rng(11);
+    const auto inject = [&](const Coord& c) {
+      seeded.inject_fault(c);
+      mark_all.inject_fault(c);
+    };
+    const auto lockstep_rounds = [&](int rounds) {
+      for (int r = 0; r < rounds; ++r) {
+        const bool sa = seeded.run_round();
+        const bool ma = mark_all.run_round();
+        ASSERT_EQ(sa, ma) << "round activity diverged at round " << r;
+        expect_same_state(seeded, mark_all);
+        if (!sa) break;
+      }
+    };
+
+    // A clustered batch that merges into one block plus an outlier.
+    inject(diagonal(shape.dims, shape.cluster));
+    inject(diagonal(shape.dims, shape.cluster, 1, 1));
+    inject(diagonal(shape.dims, shape.cluster, 0, 1));
+    inject(diagonal(shape.dims, shape.outlier));
+    lockstep_rounds(500);
+
+    // Recovery shrinks the block: the deletion process must fire identically.
+    seeded.recover(diagonal(shape.dims, shape.cluster, 0, 1));
+    mark_all.recover(diagonal(shape.dims, shape.cluster, 0, 1));
+    lockstep_rounds(500);
+
+    // A second epoch of random churn.
+    for (int i = 0; i < 4; ++i) {
+      Coord c(shape.dims);
+      for (int d = 0; d < shape.dims; ++d) c[d] = rng.uniform_int(0, shape.radix - 1);
+      inject(c);
     }
-  };
-
-  // A clustered batch that merges into one block plus an outlier.
-  inject(Coord({2, 2, 2}));
-  inject(Coord({2, 3, 2}));
-  inject(Coord({3, 2, 2}));
-  inject(Coord({6, 6, 6}));
-  lockstep_rounds(500);
-
-  // Recovery shrinks the block: the deletion process must fire identically.
-  active.recover(Coord({3, 2, 2}));
-  scan.recover(Coord({3, 2, 2}));
-  lockstep_rounds(500);
-
-  // A second epoch of random churn.
-  for (int i = 0; i < 4; ++i) {
-    const Coord c({rng.uniform_int(0, 7), rng.uniform_int(0, 7), rng.uniform_int(0, 7)});
-    inject(c);
+    lockstep_rounds(800);
+    EXPECT_FALSE(seeded.run_round());  // both quiesced
+    EXPECT_FALSE(mark_all.run_round());
+    expect_same_state(seeded, mark_all);
+    EXPECT_GT(seeded.envelope_deposits(), 0) << "no block was ever identified";
   }
-  lockstep_rounds(800);
-  EXPECT_FALSE(active.run_round());  // both quiesced
-  EXPECT_FALSE(scan.run_round());
-  expect_same_state(active, scan);
 }
 
 TEST(ActiveSet, QuiescentStepPerformsZeroProtocolVisits) {
-  // The headline property: once the network has stabilized, a round under
-  // the active-set engine touches no node at all, while the full scan pays
-  // ~6 visits per node per round (one per phase, plus the extra cancel-phase
-  // sweeps).
+  // The headline property: once the network has stabilized, a round with
+  // seeded worklists touches no node at all, while the mark-all reference
+  // pays exactly 5 visits per node per round: labeling, levels, the corner
+  // trigger, the corner-deletion check and the eager check (mail delivery
+  // visits only nodes with mail).
   const MeshTopology mesh(3, 8);
   const long long n = mesh.node_count();
 
-  DistributedFaultModel active(mesh, engine(true));
-  active.inject_fault(Coord({3, 3, 3}));
-  active.inject_fault(Coord({3, 4, 3}));
-  active.stabilize();
-  const long long before = active.protocol_node_visits();
+  DistributedFaultModel seeded(mesh, engine(true));
+  seeded.inject_fault(Coord({3, 3, 3}));
+  seeded.inject_fault(Coord({3, 4, 3}));
+  seeded.stabilize();
+  const long long before = seeded.protocol_node_visits();
   EXPECT_GT(before, 0);
-  for (int r = 0; r < 5; ++r) EXPECT_FALSE(active.run_round());
-  EXPECT_EQ(active.protocol_node_visits(), before)
-      << "a quiescent active-set round must visit zero nodes";
+  for (int r = 0; r < 5; ++r) EXPECT_FALSE(seeded.run_round());
+  EXPECT_EQ(seeded.protocol_node_visits(), before)
+      << "a quiescent round with seeded worklists must visit zero nodes";
 
-  DistributedFaultModel scan(mesh, engine(false));
-  scan.inject_fault(Coord({3, 3, 3}));
-  scan.inject_fault(Coord({3, 4, 3}));
-  scan.stabilize();
-  const long long scan_before = scan.protocol_node_visits();
-  EXPECT_FALSE(scan.run_round());
-  EXPECT_GE(scan.protocol_node_visits() - scan_before, 6 * n)
-      << "the full scan visits every node in every phase even when idle";
+  DistributedFaultModel mark_all(mesh, engine(false));
+  mark_all.inject_fault(Coord({3, 3, 3}));
+  mark_all.inject_fault(Coord({3, 4, 3}));
+  mark_all.stabilize();
+  const long long mark_all_before = mark_all.protocol_node_visits();
+  EXPECT_FALSE(mark_all.run_round());
+  EXPECT_EQ(mark_all.protocol_node_visits() - mark_all_before, 5 * n)
+      << "the mark-all reference evaluates every node in every worklist phase";
 }
 
 TEST(ActiveSet, ReportByteIdenticalAcrossEnginesAndThreadCounts) {
   // E14-style end-to-end determinism matrix: the metrics bytes must not
-  // depend on the engine choice or on how replications are scheduled.
+  // depend on the worklist seeding or on how replications are scheduled.
   const auto report_with = [](int threads, bool active) {
     Config cfg = experiment_config();
     cfg.parse_string(
@@ -173,11 +189,12 @@ void expect_work(const ProtocolWork& got, const ProtocolWork& want) {
   EXPECT_EQ(got.boxes, want.boxes);
 }
 
-// Both engines share the bookkeeping tables and the mailboxes, so the
+// Both seedings share the bookkeeping tables and the mailboxes, so the
 // lockstep comparison above cannot see a dedup or delivery-order change
-// that affects both.  These two runs pin the protocol's exact work to
-// reference values, recorded with the earlier hash-table and per-node-inbox
-// layout: any change to a message, pid or dedup decision fails here.
+// that affects both.  These runs pin the protocol's exact work to
+// reference values (the 3-D and 5-D ones recorded with the earlier
+// hash-table and per-node-inbox layout): any change to a message, pid or
+// dedup decision fails here.
 
 TEST(ProtocolWork, LifecycleChurnOn3DMeshIsPinned) {
   const MeshTopology mesh(3, 10);
@@ -196,6 +213,28 @@ TEST(ProtocolWork, LifecycleChurnOn3DMeshIsPinned) {
                 "[3:3, 5:5, 6:6]", "[3:3, 8:8, 3:3]", "[3:3, 8:8, 4:4]", "[4:4, 1:1, 6:6]",
                 "[4:4, 2:2, 3:3]", "[4:4, 4:4, 1:1]", "[5:5, 4:4, 5:5]", "[5:6, 5:5, 7:8]",
                 "[5:5, 8:8, 7:7]", "[6:6, 4:4, 5:5]"}});
+}
+
+TEST(ProtocolWork, LifecycleChurnOn2DMeshPinsTheMergeDedupWipe) {
+  // Nodes die and come back while merge floods are in flight, so a revived
+  // node relearns a merged entry only if its merge dedup keys were wiped
+  // with the rest of its memory: keeping them changes the visit, message
+  // and deposit counts below.
+  const MeshTopology mesh(2, 12);
+  Config cfg = experiment_config();
+  cfg.set_str("fault_model", "lifecycle");
+  cfg.set_double("fault_arrival_rate", 0.15);
+  cfg.set_double("repair_rate", 0.03);
+  cfg.set_double("transient_frac", 0.3);
+  Rng rng(1);
+  DynamicSimulation sim(mesh, build_lifecycle_timeline(mesh, cfg, rng, 500));
+  sim.run();
+  expect_work(work_of(sim.model()),
+              {32139, 14697, 579, 1548, 2207,
+               {"[1:1, 2:2]", "[2:2, 1:2]", "[2:2, 2:2]", "[2:2, 6:6]", "[2:2, 7:7]", "[3:3, 5:5]",
+                "[3:3, 9:9]", "[4:4, 3:3]", "[4:4, 10:10]", "[5:5, 4:4]", "[5:5, 8:8]",
+                "[6:6, 3:3]", "[6:6, 7:7]", "[7:7, 5:5]", "[7:8, 6:7]", "[8:8, 4:4]", "[8:8, 7:7]",
+                "[8:8, 9:9]", "[9:9, 4:4]", "[10:10, 10:10]"}});
 }
 
 TEST(ProtocolWork, Static5DConvergenceIsPinned) {

@@ -2,11 +2,14 @@
 // process constructs, the default bernoulli path is byte-identical to the
 // pre-axis hand-rolled loop, closed-loop request-reply obeys its window and
 // keeps the thread-count determinism contract, batch injects its exact
-// quota, traces round-trip record -> replay bit-for-bit, and eager
-// validation rejects bad steps/knob-on-wrong-process configs by name.
+// quota, traces round-trip record -> replay bit-for-bit, malformed traces
+// fail to load, and eager validation rejects bad steps/knob-on-wrong-process
+// configs by name.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -260,6 +263,95 @@ TEST(InjectionProcess, TraceRejectsTopologyMismatch) {
   cfg.set_str("injection", "trace");
   cfg.set_str("trace_file", path);
   EXPECT_THROW(ExperimentRunner{cfg}, ConfigError);
+}
+
+// ---- malformed LGT1 traces, hand-built for a 6x6 mesh ----
+
+void put_varint(std::vector<uint8_t>& out, unsigned long long v) {
+  do {
+    uint8_t byte = static_cast<uint8_t>(v & 0x7fu);
+    v >>= 7;
+    if (v != 0) byte |= 0x80u;
+    out.push_back(byte);
+  } while (v != 0);
+}
+
+/// One record's four varints: step delta, slot, dest, size.
+void put_record(std::vector<uint8_t>& out, unsigned long long delta, unsigned long long slot,
+                unsigned long long dest) {
+  for (unsigned long long v : {delta, slot, dest, 1ull}) put_varint(out, v);
+}
+
+/// Writes the LGT1 header of a 6x6 mesh (36 nodes, one terminal each)
+/// followed by `records`, and returns the file's path.
+std::string hand_built_trace(const std::string& name, const std::vector<uint8_t>& records) {
+  const std::string path = testing::TempDir() + name;
+  std::vector<uint8_t> bytes = {'L', 'G', 'T', '1'};
+  put_varint(bytes, 36);
+  put_varint(bytes, 1);
+  bytes.insert(bytes.end(), records.begin(), records.end());
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+/// read_trace must throw a ConfigError naming the file and `what`.
+void expect_bad_trace(const std::string& path, const std::string& what) {
+  try {
+    const auto records = read_trace(path, MeshTopology(2, 6));
+    FAIL() << "loaded " << records.size() << " records; expected: " << what;
+  } catch (const ConfigError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+}
+
+TEST(InjectionProcess, TraceRejectsVarintCutInsideFirstField) {
+  std::vector<uint8_t> records;
+  put_record(records, 3, 4, 5);
+  records.push_back(0x85);  // a continuation byte, then the file ends
+  expect_bad_trace(hand_built_trace("cut_varint.trace", records), "record 1: truncated varint");
+}
+
+TEST(InjectionProcess, TraceRejectsOverlongVarint) {
+  std::vector<uint8_t> records;
+  put_record(records, 3, 4, 5);
+  for (int i = 0; i < 10; ++i) records.push_back(0x80);  // eleven bytes
+  records.push_back(0x01);
+  put_record(records, 1, 4, 5);  // must not be silently dropped
+  expect_bad_trace(hand_built_trace("overlong_varint.trace", records),
+                   "record 1: over-long varint");
+}
+
+TEST(InjectionProcess, TraceRejectsSlotPastSignedRange) {
+  std::vector<uint8_t> records;
+  put_record(records, 3, 4, 5);
+  put_record(records, 1, (1ull << 63) + 0xFFFFFFFFull, 5);  // would load as slot -1
+  expect_bad_trace(hand_built_trace("huge_slot.trace", records), "record 1: slot out of range");
+}
+
+TEST(InjectionProcess, TraceRejectsStepOverflow) {
+  std::vector<uint8_t> records;
+  put_record(records, 3, 4, 5);
+  put_record(records, 1ull << 63, 4, 5);  // would make the step negative
+  expect_bad_trace(hand_built_trace("step_overflow.trace", records), "record 1: step overflows");
+}
+
+TEST(InjectionProcess, TraceRejectsRecordsOutOfStepSlotOrder) {
+  // Replay never fires a record at or before its predecessor's (step, slot).
+  std::vector<uint8_t> backwards;
+  put_record(backwards, 3, 4, 5);
+  put_record(backwards, 0, 2, 5);
+  expect_bad_trace(hand_built_trace("slot_backwards.trace", backwards),
+                   "record 1: not after the previous record");
+  std::vector<uint8_t> repeated;
+  put_record(repeated, 3, 4, 5);
+  put_record(repeated, 2, 4, 5);
+  put_record(repeated, 0, 4, 7);
+  expect_bad_trace(hand_built_trace("slot_repeated.trace", repeated),
+                   "record 2: not after the previous record");
 }
 
 TEST(InjectionProcess, EagerValidationRejectsBadTrafficConfigs) {

@@ -139,9 +139,14 @@ TEST(Labeling, Figure4IntermediateCleanWave) {
   f.recover(Coord{5, 5, 3});
   std::vector<uint8_t> fresh(static_cast<size_t>(f.node_count()), 0);
   fresh[static_cast<size_t>(m.index_of(Coord{5, 5, 3}))] = 1;
+  // Every node evaluated in both rounds, as in the paper's round model.
+  LabelingWorklist wl;
+  wl.init(f.node_count());
 
-  labeling_round(f, fresh);  // round 1: clean label becomes visible
-  labeling_round(f, fresh);  // round 2: rule 2 fires at the neighbours
+  wl.mark_all(f.node_count());
+  labeling_round(f, fresh, wl);  // round 1: clean label becomes visible
+  wl.mark_all(f.node_count());
+  labeling_round(f, fresh, wl);  // round 2: rule 2 fires at the neighbours
   EXPECT_EQ(f.at(Coord{4, 5, 3}), NodeStatus::kClean);
   EXPECT_EQ(f.at(Coord{5, 6, 3}), NodeStatus::kClean);
   EXPECT_EQ(f.at(Coord{5, 5, 4}), NodeStatus::kClean);

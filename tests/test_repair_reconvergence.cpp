@@ -1,7 +1,8 @@
-// Repair semantics through the whole protocol stack (DESIGN.md §17): both
-// round engines agree through fail -> repair -> fail churn, a fully repaired
-// mesh is indistinguishable from a never-faulted one, and the reliability
-// reporting surface (csv_ci, memory accounting) holds its contracts.
+// Repair semantics through the whole protocol stack (DESIGN.md §17): seeded
+// worklists agree with the mark-all reference (active_set=false) through
+// fail -> repair -> fail churn, a fully repaired mesh is indistinguishable
+// from a never-faulted one, and the reliability reporting surface (csv_ci,
+// memory accounting) holds its contracts.
 
 #include <gtest/gtest.h>
 
@@ -64,11 +65,11 @@ TEST(RepairReconvergence, ActiveSetMatchesFullScanThroughFailRepairChurn) {
   const MeshTopology mesh(3, 8);
   const FaultSchedule schedule = churn_schedule();
   DynamicSimulation active(mesh, schedule, engine_opts(true));
-  DynamicSimulation scan(mesh, schedule, engine_opts(false));
+  DynamicSimulation mark_all(mesh, schedule, engine_opts(false));
   for (int step = 0; step < 200; ++step) {
     active.step();
-    scan.step();
-    expect_same_model_state(active.model(), scan.model());
+    mark_all.step();
+    expect_same_model_state(active.model(), mark_all.model());
   }
 }
 
@@ -126,8 +127,8 @@ TEST(RepairReconvergence, FullyRepairedMeshIsIndistinguishableFromNeverFaulted) 
 
 TEST(RepairReconvergence, LifecycleReportByteIdenticalAcrossEnginesAndThreads) {
   // The E14-style determinism matrix over the new subsystem: lifecycle churn
-  // with transients and repairs must produce the same metric bytes for any
-  // engine and thread count.
+  // with transients and repairs must produce the same metric bytes for
+  // either worklist seeding and any thread count.
   const auto report_with = [](int threads, bool active) {
     Config cfg = experiment_config();
     cfg.parse_string(
