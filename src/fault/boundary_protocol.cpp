@@ -96,11 +96,12 @@ void DistributedFaultModel::handle_wall_message(NodeId node, const WallMessage& 
 bool DistributedFaultModel::round_boundary() {
   wall_mail_->flip();
   bool any = false;
-  for (NodeId id : wall_mail_->active()) {
+  const std::vector<NodeId>& active = wall_mail_->active();
+  for (size_t k = 0; k < active.size(); ++k) {
     ++protocol_node_visits_;
-    for (const auto& msg : wall_mail_->inbox(id)) {
+    for (const auto& msg : wall_mail_->inbox_at(k)) {
       any = true;
-      handle_wall_message(id, msg);
+      handle_wall_message(active[k], msg);
     }
   }
   return any || wall_mail_->pending() > 0;
@@ -407,11 +408,12 @@ bool DistributedFaultModel::round_cancel() {
       if (check_eager_invalidation(id)) mark_cancel(id);
     }
   }
-  for (NodeId id : cancel_mail_->active()) {
+  const std::vector<NodeId>& active = cancel_mail_->active();
+  for (size_t k = 0; k < active.size(); ++k) {
     ++protocol_node_visits_;
-    for (const auto& msg : cancel_mail_->inbox(id)) {
+    for (const auto& msg : cancel_mail_->inbox_at(k)) {
       any = true;
-      handle_cancel_message(id, msg);
+      handle_cancel_message(active[k], msg);
     }
   }
   return any || cancel_mail_->pending() > 0;

@@ -5,8 +5,8 @@
 // Every message advances one hop per round (Section 5).  Identification
 // messages carry explicit geometric context (walk dimension/sign, the out
 // signs of the corner region they emanate from, the accumulated extent
-// hull) so that node handlers make purely local decisions against the
-// node's own Definition-2 level entries.
+// hull, packed as in packed_box.h) so that node handlers make purely local
+// decisions against the node's own Definition-2 level entries.
 
 #include "src/fault/distributed_model.h"
 
@@ -39,7 +39,7 @@ struct DistributedFaultModel::IdentMessage {
   std::array<int8_t, kMaxDims> parent_dims{};
   std::array<int8_t, kMaxDims> parent_signs{};
   int8_t depth = 0;
-  Box partial;           ///< hull of member anchors observed so far
+  PackedBox partial;     ///< hull of member anchors observed so far
   int16_t ttl = 0;
 };
 

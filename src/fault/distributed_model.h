@@ -38,6 +38,7 @@
 #include "src/fault/labeling.h"
 #include "src/fault/node_status.h"
 #include "src/fault/node_table.h"
+#include "src/fault/packed_box.h"
 #include "src/sim/engine.h"
 #include "src/sim/mailbox.h"
 
@@ -169,7 +170,7 @@ class DistributedFaultModel final : public SynchronousProtocol {
   /// corner whose anchor is `corner_anchor`): either forms block info (top)
   /// or records a slice result and possibly self-starts the parent collector.
   void process_complete(NodeId node, const IdentMessage& m, const Coord& corner_anchor,
-                        const Box& box);
+                        PackedBox box);
   [[nodiscard]] bool has_level_entry(NodeId node, const Coord& anchor, int level) const;
   [[nodiscard]] std::optional<LevelEntry> entry_with_anchor(NodeId node,
                                                             const Coord& anchor) const;
@@ -276,15 +277,17 @@ class DistributedFaultModel final : public SynchronousProtocol {
   // a dead node or resetting its cancel dedup costs only that node's entries.
   // Keys mix the pid/level/parent-stack instance hash (see
   // identification.cpp); the node id is stored verbatim beside the key, so
-  // dedup is exact per node.
+  // dedup is exact per node.  Section boxes are packed (packed_box.h) in the
+  // grid's layout, box_packing_.
+  BoxPacking box_packing_;
   uint64_t next_pid_ = 1;
   struct SliceResult {
-    Box box;
+    PackedBox box;
     int round = 0;  ///< for aging out results of dead processes
   };
   NodeTable<SliceResult> slice_results_;
   struct CornerCollect {
-    Box box;
+    PackedBox box;  ///< set by the first arrival
     int arrivals = 0;
     int round = 0;
     bool invalid = false;  ///< inconsistent sections: the block is not stable

@@ -130,11 +130,12 @@ void DistributedFaultModel::handle_info_message(NodeId node, const InfoMessage& 
 bool DistributedFaultModel::round_envelope() {
   info_mail_->flip();
   bool any = false;
-  for (NodeId id : info_mail_->active()) {
+  const std::vector<NodeId>& active = info_mail_->active();
+  for (size_t k = 0; k < active.size(); ++k) {
     ++protocol_node_visits_;
-    for (const auto& msg : info_mail_->inbox(id)) {
+    for (const auto& msg : info_mail_->inbox_at(k)) {
       any = true;
-      handle_info_message(id, msg);
+      handle_info_message(active[k], msg);
     }
   }
   return any || info_mail_->pending() > 0;

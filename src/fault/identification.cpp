@@ -145,7 +145,7 @@ void DistributedFaultModel::launch_process(NodeId corner, const LevelEntry& entr
   base.pid = next_pid_++;
   base.level = static_cast<int8_t>(n);
   base.free_mask = static_cast<uint8_t>((1u << n) - 1);
-  base.partial = Box::point(entry.anchor);
+  base.partial = box_packing_.point(entry.anchor);
   base.ttl = static_cast<int16_t>(default_ttl());
   for (int d = 0; d < n; ++d)
     base.out_signs[static_cast<size_t>(d)] = static_cast<int8_t>(c[d] - entry.anchor[d]);
@@ -191,7 +191,7 @@ void DistributedFaultModel::launch_subprocess(const Coord& at, int level, uint8_
   // The subprocess's initiation corner anchor (the diagonal member).
   Coord anchor = at;
   for (int d : dims) anchor = anchor.shifted(d, -out_signs[static_cast<size_t>(d)]);
-  base.partial = parent.partial.hull(anchor);
+  base.partial = box_packing_.hull(parent.partial, anchor);
 
   if (level == 2) {
     // Base case: two ring walkers around the section.
@@ -266,7 +266,7 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
         // Still on the edge: hull, activate the slice's down-level process,
         // keep walking.
         IdentMessage f = forwarded();
-        f.partial = f.partial.hull(side_anchor);
+        f.partial = box_packing_.hull(f.partial, side_anchor);
         uint8_t sub_mask = f.free_mask & static_cast<uint8_t>(~(1u << j));
         launch_subprocess(c, f.level - 1, sub_mask, f.out_signs, f, j, f.walk_sign);
         const Coord next = c.shifted(j, f.walk_sign);
@@ -290,7 +290,7 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
       const Coord expect_side = c.shifted(out, -out_sign);
       if (has_level_entry(node, expect_side, 1)) {
         IdentMessage f = forwarded();
-        f.partial = f.partial.hull(expect_side);
+        f.partial = box_packing_.hull(f.partial, expect_side);
         const Coord next = c.shifted(f.walk_dim, f.walk_sign);
         if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(f));
         return;
@@ -300,7 +300,7 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
       if (has_level_entry(node, corner_anchor, 2)) {
         if (m.turns == 0) {
           IdentMessage f = forwarded();
-          f.partial = f.partial.hull(corner_anchor);
+          f.partial = box_packing_.hull(f.partial, corner_anchor);
           f.out_dim = m.walk_dim;
           f.out_signs[static_cast<size_t>(m.walk_dim)] = m.walk_sign;
           f.walk_dim = static_cast<int8_t>(out);
@@ -313,14 +313,14 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
         }
         // Second corner: the opposite 2-level corner — the section (or, for
         // n == 2, the block) is identified when both walkers agree.
-        const Box partial = m.partial.hull(corner_anchor);
+        const PackedBox partial = box_packing_.hull(m.partial, corner_anchor);
         const uint64_t key =
             instance_key(m.pid, m.level, m.free_mask, m.parent_dims, m.parent_signs, m.depth);
         CornerCollect& cc = *corner_collect_.try_emplace(node, key).first;
         cc.round = rounds_run_;
         if (cc.arrivals == 0) {
           cc.box = partial;
-        } else if (!(cc.box == partial)) {
+        } else if (cc.box != partial) {
           cc.invalid = true;  // inconsistent sections: not stable
         }
         ++cc.arrivals;
@@ -352,7 +352,7 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
           ident_mail_->send(node, std::move(f));  // wait one round
           return;
         }
-        f.partial = f.partial.hull(slice->box);
+        f.partial = box_packing_.hull(f.partial, slice->box);
         const Coord next = c.shifted(j, f.walk_sign);
         if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(f));
         return;
@@ -366,7 +366,7 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
         cc.round = rounds_run_;
         if (cc.arrivals == 0) {
           cc.box = m.partial;
-        } else if (!(cc.box == m.partial)) {
+        } else if (cc.box != m.partial) {
           cc.invalid = true;
         }
         ++cc.arrivals;
@@ -385,7 +385,7 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
 }
 
 void DistributedFaultModel::process_complete(NodeId node, const IdentMessage& m,
-                                             const Coord& corner_anchor, const Box& box) {
+                                             const Coord& corner_anchor, PackedBox box) {
   const Coord c = mesh_->coord_of(node);
 
   if (m.depth == 0) {
@@ -393,11 +393,11 @@ void DistributedFaultModel::process_complete(NodeId node, const IdentMessage& m,
     // the initialization corner (Algorithm 2 step 3c), then propagates back
     // over the whole envelope (step 4), which also activates the boundary
     // construction.
-    const BlockInfo info{box, epoch_};
+    const BlockInfo info{box_packing_.unpack(box), epoch_};
     auto& formed = formed_at_corner_[static_cast<size_t>(node)];
     bool known = false;
     for (auto& f : formed) {
-      if (f.box == box) {
+      if (f.box == info.box) {
         f.epoch = std::max(f.epoch, info.epoch);
         known = true;
       }
@@ -409,7 +409,7 @@ void DistributedFaultModel::process_complete(NodeId node, const IdentMessage& m,
     if (options_.trace)
       std::fprintf(stderr, "[ident r%d] pid=%llu BLOCK FORMED at %s box=%s\n", rounds_run_,
                    static_cast<unsigned long long>(m.pid), c.to_string().c_str(),
-                   box.to_string().c_str());
+                   info.box.to_string().c_str());
     if (deposit_info(node, info)) {
       ++envelope_deposits_;
       start_info_flood(node, info);
@@ -434,7 +434,8 @@ void DistributedFaultModel::process_complete(NodeId node, const IdentMessage& m,
   if (options_.trace)
     std::fprintf(stderr, "[ident r%d] pid=%llu slice-complete lvl=%d at %s box=%s\n",
                  rounds_run_, static_cast<unsigned long long>(m.pid),
-                 static_cast<int>(m.level), c.to_string().c_str(), box.to_string().c_str());
+                 static_cast<int>(m.level), c.to_string().c_str(),
+                 box_packing_.unpack(box).to_string().c_str());
   const Coord q = c.shifted(pj, -ps);
   if (!mesh_->in_bounds(q)) return;
   bool q_is_parent_corner = false;
@@ -467,11 +468,12 @@ bool DistributedFaultModel::round_identification() {
   // construction is not done until every corner is covered by block info.
   const bool uncovered = trigger_identifications();
   bool any = false;
-  for (NodeId id : ident_mail_->active()) {
+  const std::vector<NodeId>& active = ident_mail_->active();
+  for (size_t k = 0; k < active.size(); ++k) {
     ++protocol_node_visits_;
-    for (const auto& msg : ident_mail_->inbox(id)) {
+    for (const auto& msg : ident_mail_->inbox_at(k)) {
       any = true;
-      handle_ident_message(id, msg);
+      handle_ident_message(active[k], msg);
     }
   }
   return any || uncovered || ident_mail_->pending() > 0;

@@ -25,6 +25,7 @@ DistributedFaultModel::DistributedFaultModel(const Topology& mesh,
       levels_prev_(static_cast<size_t>(mesh.node_count())),
       levels_prev_round_(static_cast<size_t>(mesh.node_count()), -1),
       info_(mesh),
+      box_packing_(mesh),
       slice_results_(mesh.node_count()),
       corner_collect_(mesh.node_count()),
       launch_book_(mesh.node_count()),
@@ -36,6 +37,8 @@ DistributedFaultModel::DistributedFaultModel(const Topology& mesh,
       cancel_marked_(static_cast<size_t>(mesh.node_count()), 0),
       has_corner_(static_cast<size_t>(mesh.node_count()), 0),
       corner_pending_marked_(static_cast<size_t>(mesh.node_count()), 0) {
+  // Identification messages are the bulk of an n-D convergence's mail.
+  static_assert(sizeof(IdentMessage) <= 64);
   labeling_wl_.init(mesh.node_count());
   ident_mail_ = std::make_unique<MailboxSystem<IdentMessage>>(mesh.node_count());
   info_mail_ = std::make_unique<MailboxSystem<InfoMessage>>(mesh.node_count());

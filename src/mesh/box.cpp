@@ -17,13 +17,6 @@ Box::Box(const Coord& a, const Coord& b) : lo_(a.size()), hi_(a.size()) {
 
 Box Box::point(const Coord& c) { return Box(c, c); }
 
-bool Box::empty() const {
-  if (dims() == 0) return true;
-  for (int i = 0; i < dims(); ++i)
-    if (hi_[i] < lo_[i]) return true;
-  return false;
-}
-
 long long Box::volume() const {
   if (empty()) return 0;
   long long v = 1;
@@ -69,20 +62,6 @@ std::optional<Box> Box::intersection(const Box& other) const {
   }
   return r;
 }
-
-Box Box::hull(const Box& other) const {
-  if (empty()) return other;
-  if (other.empty()) return *this;
-  assert(dims() == other.dims());
-  Box r = *this;
-  for (int i = 0; i < dims(); ++i) {
-    r.lo_[i] = std::min(lo_[i], other.lo_[i]);
-    r.hi_[i] = std::max(hi_[i], other.hi_[i]);
-  }
-  return r;
-}
-
-Box Box::hull(const Coord& c) const { return hull(Box::point(c)); }
 
 Box Box::inflated(int amount) const {
   Box r = *this;

@@ -7,6 +7,8 @@
 // dimension.  Box is the geometric workhorse shared by the fault model, the
 // boundary model and the detour analysis.
 
+#include <algorithm>
+#include <cassert>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -34,7 +36,12 @@ class Box {
   [[nodiscard]] int lo(int dim) const { return lo_[dim]; }
   [[nodiscard]] int hi(int dim) const { return hi_[dim]; }
 
-  [[nodiscard]] bool empty() const;
+  [[nodiscard]] bool empty() const {
+    if (dims() == 0) return true;
+    for (int i = 0; i < dims(); ++i)
+      if (hi_[i] < lo_[i]) return true;
+    return false;
+  }
 
   /// Extent along `dim`: hi - lo + 1 node positions.
   [[nodiscard]] int extent(int dim) const { return hi_[dim] - lo_[dim] + 1; }
@@ -53,8 +60,29 @@ class Box {
 
   /// Smallest box containing both; used when accumulating block extents
   /// during the identification process.
-  [[nodiscard]] Box hull(const Box& other) const;
-  [[nodiscard]] Box hull(const Coord& c) const;
+  [[nodiscard]] Box hull(const Box& other) const {
+    if (empty()) return other;
+    if (other.empty()) return *this;
+    assert(dims() == other.dims());
+    Box r = *this;
+    for (int i = 0; i < dims(); ++i) {
+      r.lo_[i] = std::min(lo_[i], other.lo_[i]);
+      r.hi_[i] = std::max(hi_[i], other.hi_[i]);
+    }
+    return r;
+  }
+  /// Same as hull(Box::point(c)).
+  [[nodiscard]] Box hull(const Coord& c) const {
+    if (empty()) return point(c);
+    if (c.size() == 0) return *this;
+    assert(dims() == c.size());
+    Box r = *this;
+    for (int i = 0; i < dims(); ++i) {
+      r.lo_[i] = std::min(lo_[i], c[i]);
+      r.hi_[i] = std::max(hi_[i], c[i]);
+    }
+    return r;
+  }
 
   /// Box inflated by `amount` in every direction — the block's envelope for
   /// amount == 1 (Definition 3's "one unit distance away").

@@ -7,29 +7,11 @@
 
 namespace lgfi {
 
-Coord::Coord(int dims) : dims_(dims) {
-  assert(dims >= 0 && dims <= kMaxDims);
-}
-
 Coord::Coord(std::initializer_list<int> components)
     : dims_(static_cast<int>(components.size())) {
   assert(components.size() <= static_cast<size_t>(kMaxDims));
   size_t i = 0;
   for (int v : components) c_[i++] = v;
-}
-
-Coord Coord::with(int dim, int value) const {
-  assert(dim >= 0 && dim < dims_);
-  Coord r = *this;
-  r.c_[static_cast<size_t>(dim)] = value;
-  return r;
-}
-
-Coord Coord::shifted(int dim, int delta) const {
-  assert(dim >= 0 && dim < dims_);
-  Coord r = *this;
-  r.c_[static_cast<size_t>(dim)] += delta;
-  return r;
 }
 
 bool operator<(const Coord& a, const Coord& b) {

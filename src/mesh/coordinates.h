@@ -8,6 +8,7 @@
 // these values; nothing in the library is specialized to 2-D or 3-D.
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <cstddef>
 #include <initializer_list>
@@ -30,7 +31,7 @@ class Coord {
   Coord() = default;
 
   /// Zero coordinate of dimensionality `dims`.
-  explicit Coord(int dims);
+  explicit Coord(int dims) : dims_(dims) { assert(dims >= 0 && dims <= kMaxDims); }
 
   /// Coordinate from an explicit component list, e.g. Coord{3, 5, 4}.
   Coord(std::initializer_list<int> components);
@@ -41,10 +42,20 @@ class Coord {
   [[nodiscard]] int& operator[](int i) { return c_[static_cast<size_t>(i)]; }
 
   /// Returns a copy with component `dim` replaced by `value`.
-  [[nodiscard]] Coord with(int dim, int value) const;
+  [[nodiscard]] Coord with(int dim, int value) const {
+    assert(dim >= 0 && dim < dims_);
+    Coord r = *this;
+    r.c_[static_cast<size_t>(dim)] = value;
+    return r;
+  }
 
   /// Returns a copy with component `dim` shifted by `delta`.
-  [[nodiscard]] Coord shifted(int dim, int delta) const;
+  [[nodiscard]] Coord shifted(int dim, int delta) const {
+    assert(dim >= 0 && dim < dims_);
+    Coord r = *this;
+    r.c_[static_cast<size_t>(dim)] += delta;
+    return r;
+  }
 
   friend bool operator==(const Coord& a, const Coord& b) {
     return a.dims_ == b.dims_ && a.c_ == b.c_;

@@ -1,7 +1,6 @@
 #include "src/mesh/topology.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -45,31 +44,6 @@ Box Topology::bounds() const {
   Coord hi(dims());
   for (int i = 0; i < dims(); ++i) hi[i] = extent(i) - 1;
   return Box(lo, hi);
-}
-
-bool Topology::in_bounds(const Coord& c) const {
-  if (c.size() != dims()) return false;
-  for (int i = 0; i < dims(); ++i)
-    if (c[i] < 0 || c[i] >= extent(i)) return false;
-  return true;
-}
-
-NodeId Topology::index_of(const Coord& c) const {
-  assert(in_bounds(c));
-  long long idx = 0;
-  for (int i = 0; i < dims(); ++i) idx += c[i] * strides_[static_cast<size_t>(i)];
-  return static_cast<NodeId>(idx);
-}
-
-Coord Topology::coord_of(NodeId id) const {
-  assert(id >= 0 && id < node_count_);
-  Coord c(dims());
-  long long rest = id;
-  for (int i = 0; i < dims(); ++i) {
-    c[i] = static_cast<int>(rest / strides_[static_cast<size_t>(i)]);
-    rest %= strides_[static_cast<size_t>(i)];
-  }
-  return c;
 }
 
 NodeId Topology::neighbor(NodeId id, Direction dir) const {

@@ -91,13 +91,34 @@ class Topology {
   /// The full coordinate grid as a box [0 : extent_i - 1].
   [[nodiscard]] Box bounds() const;
 
-  [[nodiscard]] bool in_bounds(const Coord& c) const;
+  [[nodiscard]] bool in_bounds(const Coord& c) const {
+    if (c.size() != dims()) return false;
+    for (int i = 0; i < dims(); ++i)
+      if (c[i] < 0 || c[i] >= extent(i)) return false;
+    return true;
+  }
 
   /// Address -> dense index (row-major, dimension 0 slowest).
-  [[nodiscard]] NodeId index_of(const Coord& c) const;
+  [[nodiscard]] NodeId index_of(const Coord& c) const {
+    assert(in_bounds(c));
+    long long idx = 0;
+    for (int i = 0; i < dims(); ++i) idx += c[i] * strides_[static_cast<size_t>(i)];
+    return static_cast<NodeId>(idx);
+  }
 
-  /// Dense index -> address.
-  [[nodiscard]] Coord coord_of(NodeId id) const;
+  /// Dense index -> address.  Every stride is at most kMaxNodeCount, so the
+  /// division runs in 32 bits.
+  [[nodiscard]] Coord coord_of(NodeId id) const {
+    assert(id >= 0 && id < node_count_);
+    Coord c(dims());
+    NodeId rest = id;
+    for (int i = 0; i < dims(); ++i) {
+      const auto stride = static_cast<NodeId>(strides_[static_cast<size_t>(i)]);
+      c[i] = rest / stride;
+      rest %= stride;
+    }
+    return c;
+  }
 
   // --- channel graph (wraparound-aware) ------------------------------------
 

@@ -20,8 +20,9 @@
 // non-empty next-round box, and flip() sorts them, so round loops that
 // iterate active() visit inboxes in ascending NodeId order.  That order is
 // load-bearing: message emission, and therefore every downstream pid and
-// dedup decision, depends on it.  inbox(id) binary-searches active(), so a
-// node without mail costs O(log active) and yields an empty span.
+// dedup decision, depends on it.  Round loops read inbox k of active() with
+// inbox_at(k), O(1); inbox(id) finds a node's inbox by binary search over
+// active() and yields an empty span for a node without mail.
 
 #include <algorithm>
 #include <cassert>
@@ -63,7 +64,12 @@ class MailboxSystem {
   [[nodiscard]] std::span<const T> inbox(NodeId node) const {
     const auto it = std::lower_bound(active_.begin(), active_.end(), node);
     if (it == active_.end() || *it != node) return {};
-    const auto k = static_cast<size_t>(it - active_.begin());
+    return inbox_at(static_cast<size_t>(it - active_.begin()));
+  }
+
+  /// The inbox of active()[k]; same contents and validity as inbox().
+  [[nodiscard]] std::span<const T> inbox_at(size_t k) const {
+    assert(k < active_.size());
     return std::span<const T>(delivered_).subspan(begin_[k], begin_[k + 1] - begin_[k]);
   }
 

@@ -237,18 +237,82 @@ TEST(ProtocolWork, LifecycleChurnOn2DMeshPinsTheMergeDedupWipe) {
                 "[8:8, 9:9]", "[9:9, 4:4]", "[10:10, 10:10]"}});
 }
 
+/// The static pins' faults: a cluster of `clustered` nodes, then `scattered`
+/// uniform picks that are not faulty already.
+void inject_static_faults(DistributedFaultModel& model, int clustered, int scattered, Rng& rng) {
+  const Topology& grid = model.mesh();
+  for (const auto& c : clustered_fault_placement(grid, clustered, rng)) model.inject_fault(c);
+  for (const auto& c : random_fault_placement(grid, scattered, rng))
+    if (model.field().at(c) != NodeStatus::kFaulty) model.inject_fault(c);
+}
+
 TEST(ProtocolWork, Static5DConvergenceIsPinned) {
   const MeshTopology mesh(5, 6);
   Rng rng(7);
   DistributedFaultModel model(mesh);
-  for (const auto& c : clustered_fault_placement(mesh, 8, rng)) model.inject_fault(c);
-  for (const auto& c : random_fault_placement(mesh, 3, rng))
-    if (model.field().at(c) != NodeStatus::kFaulty) model.inject_fault(c);
+  inject_static_faults(model, 8, 3, rng);
   EXPECT_EQ(model.stabilize().total, 46);
   expect_work(work_of(model),
               {60215, 400149, 47, 4887, 1307,
                {"[1:4, 2:4, 2:4, 1:1, 1:1]", "[3:3, 3:3, 1:1, 3:3, 1:1]",
                 "[3:3, 3:3, 3:3, 3:3, 4:4]", "[4:4, 1:1, 2:2, 4:4, 1:1]"}});
+}
+
+/// True if a held box spans [1, extent - 2] of some dimension wider than
+/// three nodes.  No held box gets wider: identification runs between
+/// opposite corners of the block's envelope, so it never completes for a
+/// block at coordinate 0 or extent - 1, even on a torus, whose grid walks
+/// do not wrap.
+bool held_box_spans_a_dimension(const DistributedFaultModel& m) {
+  const Topology& grid = m.mesh();
+  for (NodeId id = 0; id < grid.node_count(); ++id)
+    for (const auto& b : m.info().at(id))
+      for (int d = 0; d < grid.dims(); ++d)
+        if (grid.extent(d) > 3 && b.box.lo(d) == 1 && b.box.hi(d) == grid.extent(d) - 2)
+          return true;
+  return false;
+}
+
+// The identification process packs its boxes in one bit field per dimension
+// (src/fault/packed_box.h).  These two pins hold fields at their ends: on
+// the torus, extent 8 fills its 3-bit field and the faults reach coordinates
+// 0 and extent - 1, so the processes launched around them hull anchors at
+// both ends of their fields; on the mesh, no extent is a power of two.  In
+// both, a held box spans a dimension end to end.  Narrowing any one field
+// by a bit fails at least one of the two.
+
+TEST(ProtocolWork, ClusteredConvergenceOn4DTorusIsPinned) {
+  const TorusTopology torus(std::vector<int>{8, 6, 5, 4});
+  Rng rng(83);
+  DistributedFaultModel model(torus);
+  inject_static_faults(model, 5, 3, rng);
+  bool at_zero = false;
+  bool at_seven = false;  // 0b111, dimension 0's full field
+  for (NodeId id = 0; id < torus.node_count(); ++id) {
+    if (model.field().at(id) != NodeStatus::kFaulty) continue;
+    const Coord c = torus.coord_of(id);
+    for (int d = 0; d < torus.dims(); ++d) at_zero = at_zero || c[d] == 0;
+    at_seven = at_seven || c[0] == 7;
+  }
+  EXPECT_TRUE(at_zero);
+  EXPECT_TRUE(at_seven);
+  EXPECT_EQ(model.stabilize().total, 130);
+  EXPECT_TRUE(held_box_spans_a_dimension(model));
+  expect_work(work_of(model),
+              {8279, 11647, 131, 501, 268, {"[5:6, 2:2, 1:3, 1:2]", "[6:6, 4:4, 2:2, 1:1]"}});
+}
+
+TEST(ProtocolWork, ClusteredConvergenceOnMixedRadix4DMeshIsPinned) {
+  const MeshTopology mesh(std::vector<int>{9, 5, 7, 3});
+  Rng rng(8);
+  DistributedFaultModel model(mesh);
+  inject_static_faults(model, 8, 3, rng);
+  EXPECT_EQ(model.stabilize().total, 33);
+  EXPECT_TRUE(held_box_spans_a_dimension(model));
+  expect_work(work_of(model),
+              {12248, 24263, 34, 1348, 440,
+               {"[2:3, 1:3, 3:5, 1:1]", "[3:3, 3:3, 1:1, 1:1]", "[6:6, 2:2, 3:3, 1:1]",
+                "[7:7, 1:1, 2:2, 1:1]"}});
 }
 
 }  // namespace

@@ -333,7 +333,7 @@ TEST(CampaignRunner, GridCapRejectsRunawayProducts) {
   EXPECT_THROW(small_spec("faults=range(0,99999,1)"), ConfigError);
   // ...and a grid whose *product* exceeds the cap fails at expansion.
   SweepSpec spec = small_spec("faults=range(0,199,1) seed=range(0,99,1)");
-  EXPECT_THROW(spec.point_count(), ConfigError);
+  EXPECT_THROW((void)spec.point_count(), ConfigError);
 }
 
 TEST(SweepSpec, ScalarPinSuppressesDefaultsAddedAfterParsing) {

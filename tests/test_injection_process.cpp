@@ -3,15 +3,19 @@
 // pre-axis hand-rolled loop, closed-loop request-reply obeys its window and
 // keeps the thread-count determinism contract, batch injects its exact
 // quota, traces round-trip record -> replay bit-for-bit, malformed traces
-// fail to load, and eager validation rejects bad steps/knob-on-wrong-process
-// configs by name.
+// fail to load (hand-built cases plus a seeded mutation fuzz), and eager
+// validation rejects bad steps/knob-on-wrong-process configs by name.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/campaign.h"
@@ -19,6 +23,7 @@
 #include "src/core/experiment_runner.h"
 #include "src/core/traffic_workload.h"
 #include "src/sim/injection_process.h"
+#include "src/sim/rng.h"
 #include "src/sim/trace_io.h"
 
 namespace lgfi {
@@ -352,6 +357,121 @@ TEST(InjectionProcess, TraceRejectsRecordsOutOfStepSlotOrder) {
   put_record(repeated, 0, 4, 7);
   expect_bad_trace(hand_built_trace("slot_repeated.trace", repeated),
                    "record 2: not after the previous record");
+}
+
+// ---- seeded mutation fuzz of the LGT1 reader ----
+
+/// The index just past the LEB128 varint that starts at `pos`.
+size_t skip_varint(const std::vector<uint8_t>& bytes, size_t pos) {
+  while ((bytes[pos] & 0x80u) != 0) ++pos;
+  return pos + 1;
+}
+
+TEST(InjectionProcess, TraceReaderSurvivesSeededMutations) {
+  // Every mutation of a valid trace (byte flips, truncations, inserted
+  // bytes, duplicated or swapped records) either loads as records replay
+  // can walk — strictly ascending in (step, slot), slot and dest in range —
+  // or throws ConfigError.  Any other exception is a reader bug.  A 16x16
+  // mesh and step gaps up to 300 give multi-byte varints in every field.
+  const MeshTopology mesh(2, 16);
+  const std::string valid = testing::TempDir() + "fuzz_valid.trace";
+  std::vector<TraceRecord> written;
+  {
+    TraceWriter writer(valid, mesh);
+    Rng rng(2025);
+    long long step = 0;
+    int slot = -1;
+    for (int i = 0; i < 40; ++i) {
+      if (slot >= 200 || rng.bernoulli(0.5)) {
+        step += rng.uniform_int(1, 300);
+        slot = -1;
+      }
+      slot = rng.uniform_int(slot + 1, slot + 40);
+      written.push_back({step, slot, rng.uniform_int(0, 255), rng.uniform_int(1, 4)});
+      writer.add(step, slot, written.back().dest, written.back().size);
+    }
+    writer.close();
+  }
+  ASSERT_EQ(read_trace(valid, mesh), written);
+
+  std::ifstream in(valid, std::ios::binary);
+  const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  // The header is the magic and two varints; each record is four varints.
+  const size_t header = skip_varint(bytes, skip_varint(bytes, 4));
+  std::vector<std::vector<uint8_t>> records;
+  for (size_t pos = header; pos < bytes.size();) {
+    size_t end = pos;
+    for (int field = 0; field < 4; ++field) end = skip_varint(bytes, end);
+    records.emplace_back(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(end));
+    pos = end;
+  }
+  ASSERT_EQ(records.size(), written.size());
+
+  const std::string path = testing::TempDir() + "fuzz_case.trace";
+  Rng rng(41);
+  int accepted = 0;
+  int rejected = 0;
+  for (int k = 0; k < 2000; ++k) {
+    // Record-level mutations first, then byte-level ones; at least one.
+    std::vector<std::vector<uint8_t>> recs = records;
+    const int record_ops = static_cast<int>(rng.next_below(3));
+    for (int op = 0; op < record_ops; ++op) {
+      const auto i = static_cast<size_t>(rng.next_below(recs.size()));
+      const auto j = static_cast<size_t>(rng.next_below(recs.size()));
+      if (rng.bernoulli(0.5)) {
+        recs.insert(recs.begin() + static_cast<std::ptrdiff_t>(j), recs[i]);
+      } else {
+        std::swap(recs[i], recs[j]);
+      }
+    }
+    std::vector<uint8_t> data(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(header));
+    for (const auto& r : recs) data.insert(data.end(), r.begin(), r.end());
+    const int byte_ops = static_cast<int>(rng.next_below(3)) + (record_ops == 0 ? 1 : 0);
+    for (int op = 0; op < byte_ops; ++op) {
+      switch (rng.next_below(3)) {
+        case 0:
+          if (!data.empty()) data[rng.next_below(data.size())] ^= 1u << rng.next_below(8);
+          break;
+        case 1: data.resize(rng.next_below(data.size() + 1)); break;
+        default: {
+          const auto at = static_cast<std::ptrdiff_t>(rng.next_below(data.size() + 1));
+          const int count = rng.uniform_int(1, 4);
+          for (int b = 0; b < count; ++b)
+            data.insert(data.begin() + at, static_cast<uint8_t>(rng.next_below(256)));
+        }
+      }
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(data.data()),
+                static_cast<std::streamsize>(data.size()));
+    }
+    SCOPED_TRACE(testing::Message() << "mutation case " << k);
+    try {
+      const auto got = read_trace(path, mesh);
+      ++accepted;
+      for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_GE(got[i].slot, 0);
+        ASSERT_LT(got[i].slot, mesh.terminal_count());
+        ASSERT_GE(got[i].dest, 0);
+        ASSERT_LT(got[i].dest, mesh.node_count());
+        if (i == 0) continue;
+        const TraceRecord& prev = got[i - 1];
+        ASSERT_TRUE(prev.step < got[i].step ||
+                    (prev.step == got[i].step && prev.slot < got[i].slot))
+            << "record " << i << " is not after its predecessor";
+      }
+    } catch (const ConfigError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "read_trace threw a non-ConfigError: " << e.what();
+    }
+  }
+  // Both outcomes occur, so the mutations reach past the header checks.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 TEST(InjectionProcess, EagerValidationRejectsBadTrafficConfigs) {
