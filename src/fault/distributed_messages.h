@@ -8,9 +8,49 @@
 // hull, packed as in packed_box.h) so that node handlers make purely local
 // decisions against the node's own Definition-2 level entries.
 
+#include <cassert>
+
 #include "src/fault/distributed_model.h"
 
 namespace lgfi {
+
+/// A parent-process chain, packed in 32 bits: when a process identifies a
+/// slice of a higher-level process, the chain records the (walk dim, walk
+/// sign) of every enclosing phase-1 edge walk, deepest last; depth 0 is the
+/// top-level process.  Walk i takes bits 4i..4i+3 (the dim, then a bit set
+/// for sign +1) and the depth bits 24..27.  A level-k process sits under
+/// n - k >= 0 walks, at most kMaxDims - 2.  In a message, bit 31 marks the
+/// handle of a pooled set of chains instead (identification.cpp).
+struct DistributedFaultModel::ParentChain {
+  static constexpr uint32_t kPooled = 1u << 31;
+  uint32_t bits = 0;
+
+  [[nodiscard]] int depth() const { return static_cast<int>((bits >> 24) & 15u); }
+  [[nodiscard]] int dim(int i) const { return static_cast<int>((bits >> (4 * i)) & 7u); }
+  [[nodiscard]] int sign(int i) const { return ((bits >> (4 * i + 3)) & 1u) != 0 ? 1 : -1; }
+  /// The deepest walk's dim and sign.
+  [[nodiscard]] int last_dim() const { return dim(depth() - 1); }
+  [[nodiscard]] int last_sign() const { return sign(depth() - 1); }
+  /// This chain with one more walk appended.
+  [[nodiscard]] ParentChain pushed(int walk_dim, int walk_sign) const {
+    const int d = depth();
+    assert(d < kMaxDims - 2 && walk_dim >= 0 && walk_dim < kMaxDims);
+    const uint32_t walk = static_cast<uint32_t>(walk_dim) | (walk_sign > 0 ? 8u : 0u);
+    return {((bits & 0xFFFFFFu) | (walk << (4 * d))) | (static_cast<uint32_t>(d + 1) << 24)};
+  }
+  /// This chain without its deepest walk.
+  [[nodiscard]] ParentChain popped() const {
+    const int d = depth();
+    assert(d > 0);
+    const uint32_t kept = bits & ((1u << (4 * (d - 1))) - 1u);
+    return {kept | (static_cast<uint32_t>(d - 1) << 24)};
+  }
+  [[nodiscard]] bool pooled() const { return (bits & kPooled) != 0; }
+  [[nodiscard]] uint32_t set_index() const { return bits & ~kPooled; }
+  static ParentChain pool_handle(size_t set) { return {static_cast<uint32_t>(set) | kPooled}; }
+  friend bool operator==(ParentChain, ParentChain) = default;
+};
+static_assert(4 * (kMaxDims - 2) <= 24, "a chain's walks must fit below its depth bits");
 
 /// Identification process messages (Algorithm 2 step 3).
 struct DistributedFaultModel::IdentMessage {
@@ -21,6 +61,12 @@ struct DistributedFaultModel::IdentMessage {
   };
 
   uint64_t pid = 0;
+  PackedBox partial;     ///< hull of member anchors observed so far
+  /// The parent chains this message serves: one chain inline, or, when
+  /// `chains.pooled()`, the handle of a set of two or more chains whose
+  /// processes are identical but for their chains (identification.cpp).
+  ParentChain chains;
+  int16_t ttl = 0;
   Kind kind = kEdgeWalk;
   int8_t level = 0;      ///< k of the process this message belongs to
   int8_t walk_dim = -1;
@@ -32,15 +78,6 @@ struct DistributedFaultModel::IdentMessage {
   /// 0 for dims not out.  Ring walks mutate the walk-relevant entries as
   /// they turn; collectors carry the opposite corner's signs.
   std::array<int8_t, kMaxDims> out_signs{};
-  /// Parent-process linkage stack: when this message belongs to a process
-  /// identifying a slice of a higher-level process, the stack records the
-  /// (walk dim, walk sign) of every enclosing phase-1 edge walk, deepest
-  /// last.  Depth 0 means the top-level process.
-  std::array<int8_t, kMaxDims> parent_dims{};
-  std::array<int8_t, kMaxDims> parent_signs{};
-  int8_t depth = 0;
-  PackedBox partial;     ///< hull of member anchors observed so far
-  int16_t ttl = 0;
 };
 
 /// Block-information distribution messages (Algorithm 2 step 4 + merges).

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -138,7 +139,8 @@ class DistributedFaultModel final : public SynchronousProtocol {
                                        const std::vector<int>& out_signs);
 
  private:
-  // ---- message types (definitions in identification.cpp etc.) ----
+  // ---- message types (definitions in distributed_messages.h) ----
+  struct ParentChain;
   struct IdentMessage;
   struct InfoMessage;
   struct WallMessage;
@@ -166,11 +168,27 @@ class DistributedFaultModel final : public SynchronousProtocol {
   void launch_subprocess(const Coord& at, int level, uint8_t free_mask,
                          std::array<int8_t, kMaxDims> out_signs, const IdentMessage& parent,
                          int parent_walk_dim, int parent_walk_sign);
-  /// A process at `m.level` finished with `box` at `node` (an opposite
-  /// corner whose anchor is `corner_anchor`): either forms block info (top)
-  /// or records a slice result and possibly self-starts the parent collector.
+  /// The processes of `m` that `done` names (chains of `m`) finished at
+  /// `node`, an opposite corner whose anchor is `corner_anchor`, with the
+  /// section box `m.partial`: either the top-level process forms block info,
+  /// or each chain records a slice result and may self-start its parent's
+  /// collector.
   void process_complete(NodeId node, const IdentMessage& m, const Coord& corner_anchor,
-                        PackedBox box);
+                        std::span<const ParentChain> done);
+  /// Identity of a process instance under one of its chains (the key of the
+  /// per-chain bookkeeping; see identification.cpp).
+  [[nodiscard]] static uint64_t instance_key(uint64_t pid, int level, uint8_t free_mask,
+                                             ParentChain chain);
+  /// The parent chains `m` serves: its inline chain, or its pooled set.  The
+  /// span is valid until the next pooled set is made.
+  [[nodiscard]] std::span<const ParentChain> chains_of(const IdentMessage& m) const;
+  /// A message's chains field for `chains` (not a span into the pool): the
+  /// chain itself for one, a new pooled set for more.
+  ParentChain chains_field(std::span<const ParentChain> chains);
+  /// Gives each merged launch of the node just handled its pooled chain set.
+  void finish_node_launches();
+  /// Drops the pooled chain sets no pending message refers to.
+  void recycle_chain_sets();
   [[nodiscard]] bool has_level_entry(NodeId node, const Coord& anchor, int level) const;
   [[nodiscard]] std::optional<LevelEntry> entry_with_anchor(NodeId node,
                                                             const Coord& anchor) const;
@@ -306,6 +324,45 @@ class DistributedFaultModel final : public SynchronousProtocol {
     uint32_t epoch = 0;
   };
   NodeTable<LaunchBook> launch_book_;
+
+  // Chain sets of merged identification messages (identification.cpp):
+  // set k is chain_pool_[chain_sets_[k].begin, + size).  Sets are only ever
+  // appended; recycle_chain_sets() drops the unreferenced ones once the pool
+  // has doubled, and all of them whenever identification mail drains.
+  struct ChainSet {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+  };
+  std::vector<ParentChain> chain_pool_;
+  std::vector<ChainSet> chain_sets_;
+  size_t chain_pool_recycle_at_ = 0;
+  // The processes launched at the node whose inbox round_identification is
+  // handling, with at least two walked dimensions.  A launch identical to an
+  // earlier one but for its chains sends nothing and joins the earlier one:
+  // its chains are linked into that launch's list, and finish_node_launches()
+  // points the earlier launch's messages at the pooled set of all of them.
+  struct SectionLaunch {
+    uint64_t pid = 0;
+    PackedBox partial;
+    std::array<int8_t, kMaxDims> out_signs{};
+    int16_t ttl = 0;
+    int8_t level = 0;
+    uint8_t free_mask = 0;
+    uint32_t first_message = 0;  ///< index among ident_mail_'s pending messages
+    uint32_t message_count = 0;
+    uint32_t chain_count = 0;
+    uint32_t first_link = 0;  ///< head of its list in launch_links_
+    uint32_t last_link = 0;
+  };
+  struct LaunchLink {
+    uint32_t chain = 0;  ///< ParentChain bits
+    uint32_t next = 0;   ///< the launch's next link, if it has chain_count more
+  };
+  std::vector<SectionLaunch> node_launches_;
+  std::vector<LaunchLink> launch_links_;
+  std::vector<ParentChain> chain_scratch_;
+  std::vector<ParentChain> completed_;  ///< chains a handled message completed
+  std::vector<uint32_t> set_remap_;
 
   // Mailboxes (one hop per round each).
   MailboxSystem<IdentMessage>* ident_mail();

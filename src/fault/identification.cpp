@@ -42,28 +42,88 @@ class MaskDims {
   int size_ = 0;
 };
 
-/// Identity of a process *instance*.  In n >= 4 the recursion can reach the
-/// same subspace through different parent chains (slice x then y vs y then
-/// x), and those are distinct concurrent processes of the same pid: keying
-/// bookkeeping by (pid, level) alone would conflate their completions.  The
-/// instance key hashes pid, level, free mask and the whole parent stack.
-uint64_t instance_key(uint64_t pid, int level, uint8_t free_mask,
-                      const std::array<int8_t, kMaxDims>& parent_dims,
-                      const std::array<int8_t, kMaxDims>& parent_signs, int depth) {
+/// Pooled chain sets are recycled once the pool holds this many chains and
+/// has doubled since the last recycling.
+constexpr size_t kMinChainPoolRecycle = size_t{1} << 16;
+
+}  // namespace
+
+uint64_t DistributedFaultModel::instance_key(uint64_t pid, int level, uint8_t free_mask,
+                                             ParentChain chain) {
   uint64_t h = pid * 0x9E3779B97F4A7C15ull + 0xD6E8FEB86659FD93ull;
   auto mix = [&h](uint64_t v) {
     h ^= v + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
   };
   mix(static_cast<uint64_t>(level));
   mix(static_cast<uint64_t>(free_mask));
-  for (int i = 0; i < depth; ++i) {
-    mix(static_cast<uint64_t>(parent_dims[static_cast<size_t>(i)] + 1));
-    mix(static_cast<uint64_t>(parent_signs[static_cast<size_t>(i)] + 2));
+  for (int i = 0; i < chain.depth(); ++i) {
+    mix(static_cast<uint64_t>(chain.dim(i) + 1));
+    mix(static_cast<uint64_t>(chain.sign(i) + 2));
   }
   return h;
 }
 
-}  // namespace
+std::span<const DistributedFaultModel::ParentChain> DistributedFaultModel::chains_of(
+    const IdentMessage& m) const {
+  if (!m.chains.pooled()) return {&m.chains, 1};
+  const ChainSet& set = chain_sets_[m.chains.set_index()];
+  return {chain_pool_.data() + set.begin, set.size};
+}
+
+DistributedFaultModel::ParentChain DistributedFaultModel::chains_field(
+    std::span<const ParentChain> chains) {
+  assert(!chains.empty());
+  if (chains.size() == 1) return chains.front();
+  chain_sets_.push_back(
+      {static_cast<uint32_t>(chain_pool_.size()), static_cast<uint32_t>(chains.size())});
+  chain_pool_.insert(chain_pool_.end(), chains.begin(), chains.end());
+  return ParentChain::pool_handle(chain_sets_.size() - 1);
+}
+
+void DistributedFaultModel::finish_node_launches() {
+  for (const SectionLaunch& launch : node_launches_) {
+    if (launch.chain_count < 2 || launch.message_count == 0) continue;
+    chain_scratch_.clear();
+    uint32_t link = launch.first_link;
+    for (uint32_t k = 0; k < launch.chain_count; ++k, link = launch_links_[link].next)
+      chain_scratch_.push_back(ParentChain{launch_links_[link].chain});
+    const ParentChain handle = chains_field(chain_scratch_);
+    for (uint32_t i = 0; i < launch.message_count; ++i)
+      ident_mail_->pending_at(launch.first_message + i).chains = handle;
+  }
+  node_launches_.clear();
+  launch_links_.clear();
+}
+
+void DistributedFaultModel::recycle_chain_sets() {
+  if (ident_mail_->pending() == 0) {
+    chain_pool_.clear();
+    chain_sets_.clear();
+    return;
+  }
+  if (chain_pool_.size() < std::max(kMinChainPoolRecycle, chain_pool_recycle_at_)) return;
+  // Copy the sets that pending messages still name into a fresh pool.
+  std::vector<ParentChain> pool;
+  std::vector<ChainSet> sets;
+  constexpr uint32_t kUnmoved = ~0u;
+  set_remap_.assign(chain_sets_.size(), kUnmoved);
+  for (size_t i = 0; i < static_cast<size_t>(ident_mail_->pending()); ++i) {
+    IdentMessage& msg = ident_mail_->pending_at(i);
+    if (!msg.chains.pooled()) continue;
+    uint32_t& moved = set_remap_[msg.chains.set_index()];
+    if (moved == kUnmoved) {
+      const ChainSet& set = chain_sets_[msg.chains.set_index()];
+      moved = static_cast<uint32_t>(sets.size());
+      sets.push_back({static_cast<uint32_t>(pool.size()), set.size});
+      pool.insert(pool.end(), chain_pool_.begin() + set.begin,
+                  chain_pool_.begin() + set.begin + set.size);
+    }
+    msg.chains = ParentChain::pool_handle(moved);
+  }
+  chain_pool_.swap(pool);
+  chain_sets_.swap(sets);
+  chain_pool_recycle_at_ = 2 * chain_pool_.size();
+}
 
 bool DistributedFaultModel::evaluate_corner_node(NodeId id, int retry) {
   const int n = mesh_->dims();
@@ -177,14 +237,6 @@ void DistributedFaultModel::launch_subprocess(const Coord& at, int level, uint8_
   base.level = static_cast<int8_t>(level);
   base.free_mask = free_mask;
   base.out_signs = out_signs;
-  base.parent_dims = parent.parent_dims;
-  base.parent_signs = parent.parent_signs;
-  base.depth = parent.depth;
-  if (parent_walk_dim >= 0) {
-    base.parent_dims[static_cast<size_t>(base.depth)] = static_cast<int8_t>(parent_walk_dim);
-    base.parent_signs[static_cast<size_t>(base.depth)] = static_cast<int8_t>(parent_walk_sign);
-    ++base.depth;
-  }
   base.ttl = parent.ttl;
 
   const MaskDims dims(free_mask);
@@ -192,6 +244,53 @@ void DistributedFaultModel::launch_subprocess(const Coord& at, int level, uint8_
   Coord anchor = at;
   for (int d : dims) anchor = anchor.shifted(d, -out_signs[static_cast<size_t>(d)]);
   base.partial = box_packing_.hull(parent.partial, anchor);
+
+  // The subprocess's chains: the parent's, each with the parent's walk
+  // appended (none for the n == 2 base case, which is the top level).
+  const std::span<const ParentChain> parents = chains_of(parent);
+  const auto child = [&](ParentChain chain) {
+    return parent_walk_dim < 0 ? chain : chain.pushed(parent_walk_dim, parent_walk_sign);
+  };
+  const size_t launch = node_launches_.size();  // recorded below if merging can apply
+  if (child(parents.front()).depth() < 2) {
+    // One walked dimension or none: no other chain reaches this section.
+    assert(parents.size() == 1);
+    base.chains = child(parents.front());
+  } else {
+    // Every ordering of the same walked dimensions reaches this section in
+    // this round, with the same partial box and TTL, so their processes are
+    // identical but for their chains: a launch that matches an earlier one
+    // at this node joins it and sends nothing.
+    const auto link = [this](SectionLaunch& l, ParentChain chain) {
+      const auto at_link = static_cast<uint32_t>(launch_links_.size());
+      launch_links_.push_back({chain.bits, 0});
+      if (l.chain_count++ == 0) {
+        l.first_link = at_link;
+      } else {
+        launch_links_[l.last_link].next = at_link;
+      }
+      l.last_link = at_link;
+    };
+    for (SectionLaunch& l : node_launches_) {
+      if (l.pid != base.pid || l.level != base.level || l.free_mask != free_mask ||
+          l.partial != base.partial || l.ttl != base.ttl || l.out_signs != out_signs)
+        continue;
+      for (ParentChain chain : parents) link(l, child(chain));
+      return;
+    }
+    SectionLaunch& l = node_launches_.emplace_back();
+    l.pid = base.pid;
+    l.partial = base.partial;
+    l.out_signs = out_signs;
+    l.ttl = base.ttl;
+    l.level = base.level;
+    l.free_mask = free_mask;
+    l.first_message = static_cast<uint32_t>(ident_mail_->pending());
+    for (ParentChain chain : parents) link(l, child(chain));
+    // A launch of several chains gets its pooled set, and a later joiner's
+    // chains, in finish_node_launches().
+    base.chains = child(parents.front());
+  }
 
   if (level == 2) {
     // Base case: two ring walkers around the section.
@@ -210,20 +309,23 @@ void DistributedFaultModel::launch_subprocess(const Coord& at, int level, uint8_
       if (!mesh_->in_bounds(first)) continue;
       ident_mail_->send(mesh_->index_of(first), std::move(m));
     }
-    return;
+  } else {
+    // level >= 3: phase-1 edge walks along all free dims but the last.
+    for (size_t w = 0; w + 1 < dims.size(); ++w) {
+      const int j = dims[w];
+      IdentMessage m = base;
+      m.kind = IdentMessage::kEdgeWalk;
+      m.walk_dim = static_cast<int8_t>(j);
+      m.walk_sign = static_cast<int8_t>(-out_signs[static_cast<size_t>(j)]);
+      m.out_signs[static_cast<size_t>(j)] = 0;
+      const Coord first = at.shifted(j, m.walk_sign);
+      if (!mesh_->in_bounds(first)) continue;
+      ident_mail_->send(mesh_->index_of(first), std::move(m));
+    }
   }
-
-  // level >= 3: phase-1 edge walks along all free dims but the last.
-  for (size_t w = 0; w + 1 < dims.size(); ++w) {
-    const int j = dims[w];
-    IdentMessage m = base;
-    m.kind = IdentMessage::kEdgeWalk;
-    m.walk_dim = static_cast<int8_t>(j);
-    m.walk_sign = static_cast<int8_t>(-out_signs[static_cast<size_t>(j)]);
-    m.out_signs[static_cast<size_t>(j)] = 0;
-    const Coord first = at.shifted(j, m.walk_sign);
-    if (!mesh_->in_bounds(first)) continue;
-    ident_mail_->send(mesh_->index_of(first), std::move(m));
+  if (launch < node_launches_.size()) {
+    SectionLaunch& l = node_launches_[launch];
+    l.message_count = static_cast<uint32_t>(ident_mail_->pending()) - l.first_message;
   }
 }
 
@@ -241,6 +343,28 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
     IdentMessage f = m;
     --f.ttl;
     return f;
+  };
+  // An arrival at an opposite corner with section `box`: each chain counts
+  // its own arrivals, and the chains whose `needed`-th consistent arrival
+  // this is go into completed_.
+  auto arrive = [&](PackedBox box, int needed, const char* consistent,
+                    const char* inconsistent) {
+    completed_.clear();
+    for (const ParentChain chain : chains_of(m)) {
+      CornerCollect& cc =
+          *corner_collect_.try_emplace(node, instance_key(m.pid, m.level, m.free_mask, chain))
+               .first;
+      cc.round = rounds_run_;
+      if (cc.arrivals == 0) {
+        cc.box = box;
+      } else if (cc.box != box) {
+        cc.invalid = true;  // inconsistent sections: not stable
+      }
+      ++cc.arrivals;
+      trace(cc.invalid ? inconsistent : consistent);
+      if (cc.arrivals == needed && !cc.invalid) completed_.push_back(chain);
+    }
+    return !completed_.empty();
   };
   if (m.ttl <= 1) {
     trace("ttl-expired");
@@ -314,25 +438,15 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
         // Second corner: the opposite 2-level corner — the section (or, for
         // n == 2, the block) is identified when both walkers agree.
         const PackedBox partial = box_packing_.hull(m.partial, corner_anchor);
-        const uint64_t key =
-            instance_key(m.pid, m.level, m.free_mask, m.parent_dims, m.parent_signs, m.depth);
-        CornerCollect& cc = *corner_collect_.try_emplace(node, key).first;
-        cc.round = rounds_run_;
-        if (cc.arrivals == 0) {
-          cc.box = partial;
-        } else if (cc.box != partial) {
-          cc.invalid = true;  // inconsistent sections: not stable
-        }
-        ++cc.arrivals;
-        trace(cc.invalid ? "ring-arrival-inconsistent" : "ring-arrival");
-        if (cc.arrivals == 2 && !cc.invalid) {
+        if (arrive(partial, 2, "ring-arrival", "ring-arrival-inconsistent")) {
           // Reconstruct the completion corner's full out signs: the corner
           // is out in the current walk dim too (sign = walk direction), so
-          // the collector spawned downstream computes correct anchors.
+          // the collector spawned downstream computes correct anchors.  The
+          // section box is `partial`, which every consistent arrival carried.
           IdentMessage f = forwarded();
           f.partial = partial;
           f.out_signs[static_cast<size_t>(f.walk_dim)] = f.walk_sign;
-          process_complete(node, f, corner_anchor, cc.box);
+          process_complete(node, f, corner_anchor, completed_);
         }
         return;
       }
@@ -344,37 +458,58 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
       const int j = m.walk_dim;
       if (has_level_entry(node, side_anchor, m.level - 1)) {
         // Opposite-edge node: wait for the slice result, merge, move on.
-        const SliceResult* slice = slice_results_.find(
-            node,
-            instance_key(m.pid, m.level, m.free_mask, m.parent_dims, m.parent_signs, m.depth));
-        IdentMessage f = forwarded();
-        if (slice == nullptr) {
-          ident_mail_->send(node, std::move(f));  // wait one round
+        // Each chain looks up its own slice result.
+        const auto slice_of = [&](ParentChain chain) {
+          return slice_results_.find(node, instance_key(m.pid, m.level, m.free_mask, chain));
+        };
+        const auto same_result = [](const SliceResult* a, const SliceResult* b) {
+          return a == nullptr ? b == nullptr : b != nullptr && a->box == b->box;
+        };
+        const auto go_on = [&](const SliceResult* slice, ParentChain chains) {
+          IdentMessage f = forwarded();
+          f.chains = chains;
+          if (slice == nullptr) {
+            ident_mail_->send(node, std::move(f));  // wait one round
+            return;
+          }
+          f.partial = box_packing_.hull(f.partial, slice->box);
+          const Coord next = c.shifted(j, f.walk_sign);
+          if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(f));
+        };
+        const std::span<const ParentChain> chains = chains_of(m);
+        const SliceResult* slice = slice_of(chains.front());
+        bool agree = true;
+        for (size_t i = 1; i < chains.size() && agree; ++i)
+          agree = same_result(slice, slice_of(chains[i]));
+        if (agree) {
+          go_on(slice, m.chains);
           return;
         }
-        f.partial = box_packing_.hull(f.partial, slice->box);
-        const Coord next = c.shifted(j, f.walk_sign);
-        if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(f));
+        // Chains whose results differ go on as separate messages, one per
+        // distinct result, in chain order.
+        std::vector<std::pair<ParentChain, const SliceResult*>> lookups;
+        for (const ParentChain chain : chains) lookups.emplace_back(chain, slice_of(chain));
+        std::vector<ParentChain> group;
+        for (size_t i = 0; i < lookups.size(); ++i) {
+          bool seen = false;
+          for (size_t k = 0; k < i && !seen; ++k)
+            seen = same_result(lookups[k].second, lookups[i].second);
+          if (seen) continue;
+          group.clear();
+          for (size_t k = i; k < lookups.size(); ++k)
+            if (same_result(lookups[i].second, lookups[k].second)) group.push_back(lookups[k].first);
+          go_on(lookups[i].second, chains_field(group));
+        }
         return;
       }
       // The opposite corner C' of this level-k process.
       const Coord corner_anchor = side_anchor.shifted(j, -m.walk_sign);
       if (has_level_entry(node, corner_anchor, m.level)) {
-        const uint64_t key =
-            instance_key(m.pid, m.level, m.free_mask, m.parent_dims, m.parent_signs, m.depth);
-        CornerCollect& cc = *corner_collect_.try_emplace(node, key).first;
-        cc.round = rounds_run_;
-        if (cc.arrivals == 0) {
-          cc.box = m.partial;
-        } else if (cc.box != m.partial) {
-          cc.invalid = true;
-        }
-        ++cc.arrivals;
-        trace(cc.invalid ? "collector-arrival-inconsistent" : "collector-arrival");
-        if (cc.arrivals == m.level - 1 && !cc.invalid) {
+        if (arrive(m.partial, m.level - 1, "collector-arrival",
+                   "collector-arrival-inconsistent")) {
           IdentMessage f = forwarded();
           f.out_signs[static_cast<size_t>(f.walk_dim)] = f.walk_sign;
-          process_complete(node, f, corner_anchor, cc.box);
+          process_complete(node, f, corner_anchor, completed_);
         }
         return;
       }
@@ -385,10 +520,13 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
 }
 
 void DistributedFaultModel::process_complete(NodeId node, const IdentMessage& m,
-                                             const Coord& corner_anchor, PackedBox box) {
+                                             const Coord& corner_anchor,
+                                             std::span<const ParentChain> done) {
   const Coord c = mesh_->coord_of(node);
+  const PackedBox box = m.partial;
 
-  if (m.depth == 0) {
+  if (done.front().depth() == 0) {
+    assert(done.size() == 1);  // the top level has one chain
     // Top-level completion: block information forms at the corner opposite
     // the initialization corner (Algorithm 2 step 3c), then propagates back
     // over the whole envelope (step 4), which also activates the boundary
@@ -418,46 +556,61 @@ void DistributedFaultModel::process_complete(NodeId node, const IdentMessage& m,
     return;
   }
 
-  // Slice completion: store the section for the parent's collector and
-  // self-start that collector if this is the slice adjacent to the parent's
-  // initiation corner (locally detected: the neighbour back along the
-  // parent walk is the parent-level corner with our anchor).
+  // Slice completions: each chain stores the section for its parent's
+  // collector.
   const int parent_level = m.level + 1;
-  const int pj = m.parent_dims[static_cast<size_t>(m.depth - 1)];
-  const int ps = m.parent_signs[static_cast<size_t>(m.depth - 1)];
+  for (const ParentChain chain : done) {
+    const uint64_t parent_key =
+        instance_key(m.pid, parent_level,
+                     static_cast<uint8_t>(m.free_mask | (1u << chain.last_dim())), chain.popped());
+    *slice_results_.try_emplace(node, parent_key).first = SliceResult{box, rounds_run_};
+    if (options_.trace)
+      std::fprintf(stderr, "[ident r%d] pid=%llu slice-complete lvl=%d at %s box=%s\n",
+                   rounds_run_, static_cast<unsigned long long>(m.pid),
+                   static_cast<int>(m.level), c.to_string().c_str(),
+                   box_packing_.unpack(box).to_string().c_str());
+  }
 
-  const uint64_t parent_key =
-      instance_key(m.pid, parent_level, static_cast<uint8_t>(m.free_mask | (1u << pj)),
-                   m.parent_dims, m.parent_signs, m.depth - 1);
-  *slice_results_.try_emplace(node, parent_key).first = SliceResult{box, rounds_run_};
+  // Self-start the parent's collector if this is the slice adjacent to the
+  // parent's initiation corner (locally detected: the neighbour back along
+  // the parent walk is the parent-level corner with our anchor).  The
+  // parents under one walk differ only in their chains, so one collector
+  // serves them all; walks go in the order their first chain comes.
+  std::array<ParentChain, 2 * kMaxDims> walks{};  // one chain per distinct last walk
+  size_t walk_count = 0;
+  for (const ParentChain chain : done) {
+    bool seen = false;
+    for (size_t w = 0; w < walk_count && !seen; ++w)
+      seen = walks[w].last_dim() == chain.last_dim() && walks[w].last_sign() == chain.last_sign();
+    if (!seen) walks[walk_count++] = chain;
+  }
+  for (size_t w = 0; w < walk_count; ++w) {
+    const int pj = walks[w].last_dim();
+    const int ps = walks[w].last_sign();
+    const Coord q = c.shifted(pj, -ps);
+    if (!mesh_->in_bounds(q)) continue;
+    bool q_is_parent_corner = false;
+    for (const auto& e : levels_before(mesh_->index_of(q)))
+      if (e.level == parent_level && e.anchor == corner_anchor) q_is_parent_corner = true;
+    if (!q_is_parent_corner) continue;
 
-  if (options_.trace)
-    std::fprintf(stderr, "[ident r%d] pid=%llu slice-complete lvl=%d at %s box=%s\n",
-                 rounds_run_, static_cast<unsigned long long>(m.pid),
-                 static_cast<int>(m.level), c.to_string().c_str(),
-                 box_packing_.unpack(box).to_string().c_str());
-  const Coord q = c.shifted(pj, -ps);
-  if (!mesh_->in_bounds(q)) return;
-  bool q_is_parent_corner = false;
-  for (const auto& e : levels_before(mesh_->index_of(q)))
-    if (e.level == parent_level && e.anchor == corner_anchor) q_is_parent_corner = true;
-  if (!q_is_parent_corner) return;
-
-  IdentMessage col;
-  col.pid = m.pid;
-  col.kind = IdentMessage::kCollector;
-  col.level = static_cast<int8_t>(parent_level);
-  col.walk_dim = static_cast<int8_t>(pj);
-  col.walk_sign = static_cast<int8_t>(ps);
-  col.free_mask = static_cast<uint8_t>(m.free_mask | (1u << pj));
-  col.out_signs = m.out_signs;  // opposite-corner lateral signs
-  col.parent_dims = m.parent_dims;
-  col.parent_signs = m.parent_signs;
-  col.depth = static_cast<int8_t>(m.depth - 1);
-  col.partial = box;
-  col.ttl = m.ttl;
-  const Coord next = c.shifted(pj, ps);
-  if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(col));
+    chain_scratch_.clear();
+    for (const ParentChain chain : done)
+      if (chain.last_dim() == pj && chain.last_sign() == ps) chain_scratch_.push_back(chain.popped());
+    IdentMessage col;
+    col.pid = m.pid;
+    col.kind = IdentMessage::kCollector;
+    col.level = static_cast<int8_t>(parent_level);
+    col.walk_dim = static_cast<int8_t>(pj);
+    col.walk_sign = static_cast<int8_t>(ps);
+    col.free_mask = static_cast<uint8_t>(m.free_mask | (1u << pj));
+    col.out_signs = m.out_signs;  // opposite-corner lateral signs
+    col.chains = chains_field(chain_scratch_);
+    col.partial = box;
+    col.ttl = m.ttl;
+    const Coord next = c.shifted(pj, ps);
+    if (mesh_->in_bounds(next)) ident_mail_->send(mesh_->index_of(next), std::move(col));
+  }
 }
 
 bool DistributedFaultModel::round_identification() {
@@ -475,7 +628,9 @@ bool DistributedFaultModel::round_identification() {
       any = true;
       handle_ident_message(active[k], msg);
     }
+    if (!node_launches_.empty()) finish_node_launches();
   }
+  recycle_chain_sets();
   return any || uncovered || ident_mail_->pending() > 0;
 }
 

@@ -37,8 +37,9 @@ DistributedFaultModel::DistributedFaultModel(const Topology& mesh,
       cancel_marked_(static_cast<size_t>(mesh.node_count()), 0),
       has_corner_(static_cast<size_t>(mesh.node_count()), 0),
       corner_pending_marked_(static_cast<size_t>(mesh.node_count()), 0) {
-  // Identification messages are the bulk of an n-D convergence's mail.
-  static_assert(sizeof(IdentMessage) <= 64);
+  // Identification messages are the bulk of an n-D convergence's mail; their
+  // parent chains take one 32-bit field (distributed_messages.h).
+  static_assert(sizeof(IdentMessage) == 48);
   labeling_wl_.init(mesh.node_count());
   ident_mail_ = std::make_unique<MailboxSystem<IdentMessage>>(mesh.node_count());
   info_mail_ = std::make_unique<MailboxSystem<InfoMessage>>(mesh.node_count());
@@ -360,6 +361,11 @@ long long DistributedFaultModel::memory_bytes() const {
   bytes += info_.memory_bytes();
   bytes += slice_results_.memory_bytes() + corner_collect_.memory_bytes() +
            launch_book_.memory_bytes() + merge_seen_.memory_bytes() + cancel_seen_.memory_bytes();
+  bytes += vec_bytes(chain_pool_, sizeof(ParentChain)) + vec_bytes(chain_sets_, sizeof(ChainSet)) +
+           vec_bytes(node_launches_, sizeof(SectionLaunch)) +
+           vec_bytes(launch_links_, sizeof(LaunchLink)) +
+           vec_bytes(chain_scratch_, sizeof(ParentChain)) +
+           vec_bytes(completed_, sizeof(ParentChain)) + vec_bytes(set_remap_, sizeof(uint32_t));
   bytes += ident_mail_->memory_bytes() + info_mail_->memory_bytes() +
            wall_mail_->memory_bytes() + cancel_mail_->memory_bytes();
   return bytes;

@@ -109,6 +109,13 @@ class MailboxSystem {
   /// Number of messages that will be delivered next round.
   [[nodiscard]] long long pending() const { return static_cast<long long>(sent_.size()); }
 
+  /// The i-th message sent this round (i < pending()), in send order, for
+  /// amending before flip(); its destination stays.
+  [[nodiscard]] T& pending_at(size_t i) {
+    assert(i < sent_.size());
+    return sent_[i];
+  }
+
   void clear() {
     for (NodeId id : next_active_) next_count_[static_cast<size_t>(id)] = 0;
     active_.clear();
