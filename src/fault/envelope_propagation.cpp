@@ -38,7 +38,17 @@ void DistributedFaultModel::handle_info_message(NodeId node, const InfoMessage& 
   const Coord c = mesh_->coord_of(node);
   const bool merge_flood = !m.carrier.empty();
   const Box& shell = merge_flood ? m.carrier : m.info.box;
-  if (corner_level(c, shell) == 0) return;  // off the envelope (or inside the block)
+  const int level = corner_level(c, shell);
+  if (level == 0) return;  // off the envelope (or inside the block)
+  if (!merge_flood && level == 1 && options_.eager_invalidation) {
+    // An adjacent node whose inward neighbour is no longer a member neither
+    // deposits nor forwards: eager check (c) would cancel the entry at once,
+    // and a flood that re-deposits behind each cancel respawns the walls.
+    for (int d = 0; d < mesh_->dims(); ++d) {
+      const int inward = c[d] < shell.lo(d) ? 1 : c[d] > shell.hi(d) ? -1 : 0;
+      if (inward != 0 && !is_member(c.shifted(d, inward))) return;
+    }
+  }
 
   bool fresh;
   if (merge_flood) {

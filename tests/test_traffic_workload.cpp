@@ -246,6 +246,43 @@ TEST(TrafficWorkload, ClosedLoopPairsAreConservedUnderLinkChurn) {
   }
 }
 
+/// Whether one replication of closed-loop request-reply traffic (window 4)
+/// under lifecycle fail/repair churn on a 16x16 mesh drains within its
+/// 50,000-step cap.  `rep` forks the seed's stream as a campaign at `seed`
+/// forks replication `rep`.
+double closed_loop_churn_drained(long long seed, int rep) {
+  Config cfg = experiment_config();
+  cfg.parse_string(
+      "traffic=uniform mesh_dims=2 radix=16 injection=closed_loop window=4 injection_rate=0.2 "
+      "fault_model=lifecycle fault_arrival_rate=0.05 repair_rate=0.1 transient_frac=0.3 "
+      "warmup_steps=100 measure_steps=1000 drain_steps=50000 routes=0");
+  cfg.set_int("seed", seed);
+  const ExperimentRunner runner(cfg);
+  Rng rng = Rng(static_cast<uint64_t>(seed)).fork(static_cast<uint64_t>(rep));
+  MetricSet out;
+  runner.run_replication(rng, out);
+  return out.mean("drained");
+}
+
+// Each of these replications held block information that formed after its
+// block was gone.  The envelope flood re-deposited it behind every eager
+// cancel, each re-deposit at a ring node spawned the walls again, and the
+// surviving walls kept closed-loop pairs circling a 4-node square until the
+// drain cap.  The seeds are 13 + 15 * 1000003 and so on: campaign c of a
+// run at workload seed S uses seed S + c * 1000003.
+
+TEST(TrafficWorkload, ClosedLoopChurnDrainsAtSeed13Campaign15) {
+  EXPECT_EQ(closed_loop_churn_drained(13 + 15 * 1000003LL, 7), 1.0);
+}
+
+TEST(TrafficWorkload, ClosedLoopChurnDrainsAtSeed6Campaign22) {
+  EXPECT_EQ(closed_loop_churn_drained(6 + 22 * 1000003LL, 6), 1.0);
+}
+
+TEST(TrafficWorkload, ClosedLoopChurnDrainsAtSeed13Campaign25) {
+  EXPECT_EQ(closed_loop_churn_drained(13 + 25 * 1000003LL, 5), 1.0);
+}
+
 TEST(TrafficRunner, ReportByteIdenticalAcrossThreadCounts) {
   // The determinism contract extends to the traffic engine: same seed =>
   // byte-identical latency statistics whether the replications run on one
