@@ -136,6 +136,7 @@ std::vector<TraceRecord> read_trace(const std::string& path, const Topology& mes
     if (dest >= static_cast<unsigned long long>(mesh.node_count())) {
       bad("destination out of range");
     }
+    if (size == 0 || size > static_cast<unsigned long long>(INT_MAX)) bad("size out of range");
     // Replay walks the records with one cursor, so a record at or before
     // its predecessor's (step, slot) would never fire.
     if (!records.empty() && delta == 0 &&

@@ -13,8 +13,9 @@
 // written in injection order, which is non-decreasing in step and ascending
 // in slot within a step, so deltas stay tiny); `slot` is the injecting
 // terminal (node * concentration + terminal); `dest` is the destination
-// router's NodeId; `size` is the packet size in flits (informational — the
-// replaying config's switching model decides the actual flit count).  A
+// router's NodeId; `size` is the packet size in flits, 1 to INT_MAX
+// (informational — the replaying config's switching model decides the
+// actual flit count).  A
 // bernoulli trace re-recorded from its own replay is byte-identical, which
 // is the round-trip property the tests and CI smoke pin.
 

@@ -283,8 +283,8 @@ void put_varint(std::vector<uint8_t>& out, unsigned long long v) {
 
 /// One record's four varints: step delta, slot, dest, size.
 void put_record(std::vector<uint8_t>& out, unsigned long long delta, unsigned long long slot,
-                unsigned long long dest) {
-  for (unsigned long long v : {delta, slot, dest, 1ull}) put_varint(out, v);
+                unsigned long long dest, unsigned long long size = 1) {
+  for (unsigned long long v : {delta, slot, dest, size}) put_varint(out, v);
 }
 
 /// Writes the LGT1 header of a 6x6 mesh (36 nodes, one terminal each)
@@ -344,6 +344,17 @@ TEST(InjectionProcess, TraceRejectsStepOverflow) {
   expect_bad_trace(hand_built_trace("step_overflow.trace", records), "record 1: step overflows");
 }
 
+TEST(InjectionProcess, TraceRejectsSizeOutsideOneToIntMax) {
+  // Each would load as another int: 5, 0 and -2147483648.
+  for (const unsigned long long size : {(1ull << 32) + 5, 0ull, 1ull << 31}) {
+    SCOPED_TRACE(testing::Message() << "size " << size);
+    std::vector<uint8_t> records;
+    put_record(records, 3, 4, 5);
+    put_record(records, 1, 4, 5, size);
+    expect_bad_trace(hand_built_trace("bad_size.trace", records), "record 1: size out of range");
+  }
+}
+
 TEST(InjectionProcess, TraceRejectsRecordsOutOfStepSlotOrder) {
   // Replay never fires a record at or before its predecessor's (step, slot).
   std::vector<uint8_t> backwards;
@@ -370,8 +381,8 @@ size_t skip_varint(const std::vector<uint8_t>& bytes, size_t pos) {
 TEST(InjectionProcess, TraceReaderSurvivesSeededMutations) {
   // Every mutation of a valid trace (byte flips, truncations, inserted
   // bytes, duplicated or swapped records) either loads as records replay
-  // can walk — strictly ascending in (step, slot), slot and dest in range —
-  // or throws ConfigError.  Any other exception is a reader bug.  A 16x16
+  // can walk — strictly ascending in (step, slot), slot, dest and size in
+  // range — or throws ConfigError.  Any other exception is a reader bug.  A 16x16
   // mesh and step gaps up to 300 give multi-byte varints in every field.
   const MeshTopology mesh(2, 16);
   const std::string valid = testing::TempDir() + "fuzz_valid.trace";
@@ -457,6 +468,7 @@ TEST(InjectionProcess, TraceReaderSurvivesSeededMutations) {
         ASSERT_LT(got[i].slot, mesh.terminal_count());
         ASSERT_GE(got[i].dest, 0);
         ASSERT_LT(got[i].dest, mesh.node_count());
+        ASSERT_GE(got[i].size, 1);
         if (i == 0) continue;
         const TraceRecord& prev = got[i - 1];
         ASSERT_TRUE(prev.step < got[i].step ||
