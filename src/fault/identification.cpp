@@ -13,10 +13,18 @@
 // expectation fails — the paper's "if there is a faulty or disabled neighbor
 // in the forwarding direction, the new block is not stable ... the message
 // is discarded".  TTLs bound every walk and every wait.
+//
+// In n >= 4 the recursion reaches a section once per ordering of the walked
+// dimensions, through that many parent chains.  Their processes would be
+// identical but for the chain, so one process serves them all: its messages
+// carry the set of chains (launch_subprocess), and every chain keeps its own
+// bookkeeping (DESIGN.md §14).
 
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "src/fault/distributed_messages.h"
 
@@ -48,6 +56,12 @@ constexpr size_t kMinChainPoolRecycle = size_t{1} << 16;
 
 }  // namespace
 
+/// Identity of a process instance under one parent chain.  One merged
+/// process serves several chains, but each chain counts its own arrivals at
+/// an opposite corner and stores and looks up its own slice results, keyed
+/// as if it had run alone: by pid, level, free mask and the chain's whole
+/// stack.  Keying by (pid, level) alone would conflate the chains'
+/// completions.
 uint64_t DistributedFaultModel::instance_key(uint64_t pid, int level, uint8_t free_mask,
                                              ParentChain chain) {
   uint64_t h = pid * 0x9E3779B97F4A7C15ull + 0xD6E8FEB86659FD93ull;
