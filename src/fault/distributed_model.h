@@ -362,7 +362,6 @@ class DistributedFaultModel final : public SynchronousProtocol {
   std::vector<LaunchLink> launch_links_;
   std::vector<ParentChain> chain_scratch_;
   std::vector<ParentChain> completed_;  ///< chains a handled message completed
-  std::vector<uint32_t> set_remap_;
 
   // Mailboxes (one hop per round each).
   MailboxSystem<IdentMessage>* ident_mail();

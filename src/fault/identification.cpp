@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <utility>
 #include <vector>
 
 #include "src/fault/distributed_messages.h"
@@ -120,11 +119,11 @@ void DistributedFaultModel::recycle_chain_sets() {
   std::vector<ParentChain> pool;
   std::vector<ChainSet> sets;
   constexpr uint32_t kUnmoved = ~0u;
-  set_remap_.assign(chain_sets_.size(), kUnmoved);
+  std::vector<uint32_t> moved_to(chain_sets_.size(), kUnmoved);
   for (size_t i = 0; i < static_cast<size_t>(ident_mail_->pending()); ++i) {
     IdentMessage& msg = ident_mail_->pending_at(i);
     if (!msg.chains.pooled()) continue;
-    uint32_t& moved = set_remap_[msg.chains.set_index()];
+    uint32_t& moved = moved_to[msg.chains.set_index()];
     if (moved == kUnmoved) {
       const ChainSet& set = chain_sets_[msg.chains.set_index()];
       moved = static_cast<uint32_t>(sets.size());
@@ -499,21 +498,9 @@ void DistributedFaultModel::handle_ident_message(NodeId node, const IdentMessage
           go_on(slice, m.chains);
           return;
         }
-        // Chains whose results differ go on as separate messages, one per
-        // distinct result, in chain order.
-        std::vector<std::pair<ParentChain, const SliceResult*>> lookups;
-        for (const ParentChain chain : chains) lookups.emplace_back(chain, slice_of(chain));
-        std::vector<ParentChain> group;
-        for (size_t i = 0; i < lookups.size(); ++i) {
-          bool seen = false;
-          for (size_t k = 0; k < i && !seen; ++k)
-            seen = same_result(lookups[k].second, lookups[i].second);
-          if (seen) continue;
-          group.clear();
-          for (size_t k = i; k < lookups.size(); ++k)
-            if (same_result(lookups[i].second, lookups[k].second)) group.push_back(lookups[k].first);
-          go_on(lookups[i].second, chains_field(group));
-        }
+        // Chains whose results differ go on as one message each, so that
+        // each still waits for and merges exactly its own slices.
+        for (const ParentChain chain : chains) go_on(slice_of(chain), chain);
         return;
       }
       // The opposite corner C' of this level-k process.
@@ -610,7 +597,8 @@ void DistributedFaultModel::process_complete(NodeId node, const IdentMessage& m,
 
     chain_scratch_.clear();
     for (const ParentChain chain : done)
-      if (chain.last_dim() == pj && chain.last_sign() == ps) chain_scratch_.push_back(chain.popped());
+      if (chain.last_dim() == pj && chain.last_sign() == ps)
+        chain_scratch_.push_back(chain.popped());
     IdentMessage col;
     col.pid = m.pid;
     col.kind = IdentMessage::kCollector;

@@ -365,7 +365,7 @@ long long DistributedFaultModel::memory_bytes() const {
            vec_bytes(node_launches_, sizeof(SectionLaunch)) +
            vec_bytes(launch_links_, sizeof(LaunchLink)) +
            vec_bytes(chain_scratch_, sizeof(ParentChain)) +
-           vec_bytes(completed_, sizeof(ParentChain)) + vec_bytes(set_remap_, sizeof(uint32_t));
+           vec_bytes(completed_, sizeof(ParentChain));
   bytes += ident_mail_->memory_bytes() + info_mail_->memory_bytes() +
            wall_mail_->memory_bytes() + cancel_mail_->memory_bytes();
   return bytes;
