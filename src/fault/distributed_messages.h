@@ -48,7 +48,6 @@ struct DistributedFaultModel::ParentChain {
   [[nodiscard]] bool pooled() const { return (bits & kPooled) != 0; }
   [[nodiscard]] uint32_t set_index() const { return bits & ~kPooled; }
   static ParentChain pool_handle(size_t set) { return {static_cast<uint32_t>(set) | kPooled}; }
-  friend bool operator==(ParentChain, ParentChain) = default;
 };
 static_assert(4 * (kMaxDims - 2) <= 24, "a chain's walks must fit below its depth bits");
 
