@@ -14,8 +14,9 @@
 // carrier block is cancelled, every entry it was carrying is swept with it
 // and its continuation walls are retraced (see boundary_protocol.cpp).
 
+#include <array>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -51,6 +52,16 @@ struct Provenance {
 };
 
 /// Per-node replicated block information for a whole mesh.
+///
+/// Every node's entries live in one arena of fixed-size chunks that never
+/// move.  A node owns at most one *block*: 2^k consecutive entries (its
+/// capacity class k), named by an 8-byte slot.  A node that fills its block
+/// moves its entries to a block of the next class and leaves the old block
+/// on that class's free list for the next node that grows.  A block larger
+/// than a chunk spans consecutive chunk ids of one allocation.  So at() and
+/// provenance_at() are contiguous spans in insertion order, and a node's
+/// spans stay valid until that node itself is mutated: a deposit elsewhere
+/// can add chunks but never moves one.
 class InfoStore {
  public:
   explicit InfoStore(const Topology& mesh);
@@ -58,25 +69,28 @@ class InfoStore {
   /// Adds (or refreshes) `info` at `node`.  Returns true if the store
   /// changed (new box, or newer epoch for an existing box).  A repeated
   /// deposit upgrades the provenance if the new justification is stronger
-  /// (kEnvelope > kWall > kMerged).
+  /// (kEnvelope > kWall > kMerged).  Throws std::length_error past
+  /// kMaxEntriesPerNode entries at one node.
   bool deposit(NodeId node, const BlockInfo& info, const Provenance& prov = {});
 
-  /// Removes the entry with `box` (any epoch <= `epoch`).  Returns true if
-  /// something was removed.
+  /// Removes the entry with `box` (any epoch <= `epoch`), keeping the rest
+  /// in order.  Returns true if something was removed.
   bool cancel(NodeId node, const Box& box, uint32_t epoch);
 
-  /// Removes everything stored at `node`.
+  /// Removes everything stored at `node` and releases its block.
   void clear_node(NodeId node);
-  void clear();
 
   [[nodiscard]] std::span<const BlockInfo> at(NodeId node) const {
-    return infos_[static_cast<size_t>(node)];
+    const Slot s = slots_[static_cast<size_t>(node)];
+    if (s.count == 0) return {};
+    return {infos_at(s.first), s.count};
   }
   [[nodiscard]] std::span<const Provenance> provenance_at(NodeId node) const {
-    return provs_[static_cast<size_t>(node)];
+    const Slot s = slots_[static_cast<size_t>(node)];
+    if (s.count == 0) return {};
+    return {provs_at(s.first), s.count};
   }
   [[nodiscard]] bool holds(NodeId node, const Box& box) const;
-  [[nodiscard]] std::optional<BlockInfo> find(NodeId node, const Box& box) const;
 
   /// Number of nodes storing at least one entry — the paper's "memory
   /// requirement ... in the whole network" metric.
@@ -85,14 +99,49 @@ class InfoStore {
   /// Total entries across all nodes.
   [[nodiscard]] long long total_entries() const;
 
-  /// Estimated resident bytes (per-node vector headers + retained entry
-  /// capacity).  O(N) — bench/reporting use only.
+  /// Estimated resident bytes (slots, chunks, chunk table, free lists).
+  /// O(N) — bench/reporting use only.
   [[nodiscard]] long long memory_bytes() const;
 
+  static constexpr int kChunkShift = 6;
+  /// Entries per chunk.
+  static constexpr uint32_t kChunkEntries = 1u << kChunkShift;
+  /// The largest block: 2^15 entries, so that a slot's count fits 16 bits.
+  static constexpr uint32_t kMaxEntriesPerNode = 1u << 15;
+
  private:
-  // Parallel per-node vectors (infos_ stays contiguous for InfoProvider).
-  std::vector<std::vector<BlockInfo>> infos_;
-  std::vector<std::vector<Provenance>> provs_;
+  static constexpr uint32_t kChunkMask = kChunkEntries - 1;
+  static constexpr int kClasses = 16;  ///< block sizes 2^0 .. 2^15
+  static constexpr uint8_t kNoBlock = 0xFF;
+
+  struct Slot {
+    uint32_t first = 0;      ///< arena index of the block's first entry
+    uint16_t count = 0;      ///< entries in use, in insertion order
+    uint8_t cls = kNoBlock;  ///< the block holds 2^cls entries; kNoBlock: none
+  };
+  struct Chunk {
+    BlockInfo* infos = nullptr;
+    Provenance* provs = nullptr;
+  };
+
+  /// The entry at arena index `index`; a block's entries are consecutive.
+  [[nodiscard]] BlockInfo* infos_at(uint32_t index) const {
+    return chunks_[index >> kChunkShift].infos + (index & kChunkMask);
+  }
+  [[nodiscard]] Provenance* provs_at(uint32_t index) const {
+    return chunks_[index >> kChunkShift].provs + (index & kChunkMask);
+  }
+  /// Moves `s`'s entries to a block of the next class.
+  void grow(Slot& s);
+  /// A free block of class `cls`: from its free list, else from the arena.
+  uint32_t allocate(int cls);
+
+  std::vector<Slot> slots_;
+  std::vector<Chunk> chunks_;  ///< chunk id -> its entries
+  std::vector<std::unique_ptr<BlockInfo[]>> info_storage_;  ///< one per allocation
+  std::vector<std::unique_ptr<Provenance[]>> prov_storage_;
+  uint32_t arena_end_ = 0;  ///< first arena index no block has taken
+  std::array<std::vector<uint32_t>, kClasses> free_;  ///< per class: free block starts
 };
 
 }  // namespace lgfi

@@ -239,7 +239,8 @@ void DistributedFaultModel::handle_cancel_message(NodeId node, const CancelMessa
 void DistributedFaultModel::sweep_carried_info(NodeId node, const Box& dead_carrier, int ttl) {
   const Coord c = mesh_->coord_of(node);
   // Snapshot: cancelling mutates the store.
-  std::vector<std::pair<BlockInfo, Provenance>> carried;
+  auto& carried = carried_scratch_;
+  carried.clear();
   {
     const auto infos = info_.at(node);
     const auto provs = info_.provenance_at(node);
@@ -300,9 +301,11 @@ bool DistributedFaultModel::check_eager_invalidation(NodeId node) {
   const Coord c = mesh_->coord_of(node);
   if (field_.at(node) == NodeStatus::kFaulty) return false;
   bool fired = false;
-  // Copy: start_cancel mutates the store.
+  // Copy: start_cancel mutates the store, and rule (e) reads the entries as
+  // they were before any removal.
   const auto held_span = info_.at(node);
-  const std::vector<BlockInfo> held(held_span.begin(), held_span.end());
+  auto& held = held_scratch_;
+  held.assign(held_span.begin(), held_span.end());
   for (const auto& b : held) {
     // (b) the node was swallowed by a grown block: the old info of the box
     // it now sits in is necessarily stale only if the box excludes it —
@@ -391,7 +394,8 @@ bool DistributedFaultModel::round_cancel() {
   // removals, status fallout) belong to NEXT round's checks.  Within the
   // round, all corner checks run first, then all eager checks, then the
   // inbox deliveries.
-  std::vector<NodeId> cur;
+  auto& cur = cancel_cur_;
+  cur.clear();
   cur.swap(cancel_queue_);
   for (NodeId id : cur) cancel_marked_[static_cast<size_t>(id)] = 0;
   std::sort(cur.begin(), cur.end());

@@ -14,26 +14,29 @@ EnvelopeClass classify_against_block(const Coord& c, const Box& box) {
     const int v = c[d];
     if (v >= box.lo(d) && v <= box.hi(d)) continue;
     in_all = false;
-    if (v == box.lo(d) - 1) {
-      e.out_dim_list.push_back(d);
-      e.out_side_positive.push_back(false);
-    } else if (v == box.hi(d) + 1) {
-      e.out_dim_list.push_back(d);
-      e.out_side_positive.push_back(true);
+    if (v == box.lo(d) - 1 || v == box.hi(d) + 1) {
+      e.out_dim_list[static_cast<size_t>(e.out_dims)] = d;
+      e.out_side_positive[static_cast<size_t>(e.out_dims)] = v > box.hi(d);
+      ++e.out_dims;
     } else {
       in_shell = false;
     }
   }
   e.inside = in_all;
-  e.out_dims = static_cast<int>(e.out_dim_list.size());
   e.on_envelope = !in_all && in_shell;
   return e;
 }
 
 int corner_level(const Coord& c, const Box& box) {
-  const EnvelopeClass e = classify_against_block(c, box);
-  if (!e.on_envelope) return 0;
-  return e.out_dims;
+  assert(c.size() == box.dims());
+  int out = 0;  // stays 0 inside the box
+  for (int d = 0; d < box.dims(); ++d) {
+    const int v = c[d];
+    if (v >= box.lo(d) && v <= box.hi(d)) continue;
+    if (v != box.lo(d) - 1 && v != box.hi(d) + 1) return 0;  // off the shell
+    ++out;
+  }
+  return out;
 }
 
 std::vector<Coord> envelope_positions(const Topology& mesh, const Box& box, int m) {

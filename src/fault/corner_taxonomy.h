@@ -16,7 +16,7 @@
 // n-level edge neighbours of the same block") coincides with this geometric
 // classification; tests verify the equivalence.
 
-#include <optional>
+#include <array>
 #include <vector>
 
 #include "src/fault/node_status.h"
@@ -45,9 +45,9 @@ struct EnvelopeClass {
   bool on_envelope = false;  ///< in inflated(1) but not inside
   int out_dims = 0;       ///< m: #dims at lo-1 or hi+1 (valid when on_envelope)
   /// Which dims are out, and on which side (true = hi+1 side); parallel
-  /// arrays of length out_dims.
-  std::vector<int> out_dim_list;
-  std::vector<bool> out_side_positive;
+  /// arrays whose first out_dims elements are set.
+  std::array<int, kMaxDims> out_dim_list{};
+  std::array<bool, kMaxDims> out_side_positive{};
 };
 
 EnvelopeClass classify_against_block(const Coord& c, const Box& box);

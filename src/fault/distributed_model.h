@@ -33,6 +33,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fault/block_registry.h"
@@ -395,14 +396,18 @@ class DistributedFaultModel final : public SynchronousProtocol {
   LabelingWorklist labeling_wl_;
   std::vector<uint8_t> levels_marked_;  ///< round_levels worklist flags
   std::vector<NodeId> levels_queue_;
+  std::vector<NodeId> levels_cur_;      ///< the queue round_levels is consuming
   std::vector<uint8_t> cancel_marked_;  ///< round_cancel check-worklist flags
   std::vector<NodeId> cancel_queue_;
+  std::vector<NodeId> cancel_cur_;      ///< the queue round_cancel is consuming
   std::vector<uint8_t> has_corner_;     ///< node holds a level-n entry
   std::vector<NodeId> corner_nodes_;    ///< nodes with has_corner_ set (compacted lazily)
   std::vector<uint8_t> corner_pending_marked_;
   std::vector<NodeId> corner_pending_;  ///< corners to evaluate for (re)launch
   std::vector<LevelEntry> levels_scratch_;
   std::vector<Coord> candidate_scratch_;
+  std::vector<BlockInfo> held_scratch_;  ///< check_eager_invalidation's copy
+  std::vector<std::pair<BlockInfo, Provenance>> carried_scratch_;  ///< sweep_carried_info's
   long long protocol_node_visits_ = 0;
 
   uint32_t epoch_ = 1;

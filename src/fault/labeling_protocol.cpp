@@ -292,7 +292,8 @@ bool DistributedFaultModel::round_levels() {
   // giving the n-1 extra rounds the recursive definition needs).
   ++levels_round_;
   bool changed = false;
-  std::vector<NodeId> cur;
+  auto& cur = levels_cur_;
+  cur.clear();
   cur.swap(levels_queue_);
   for (NodeId id : cur) levels_marked_[static_cast<size_t>(id)] = 0;
   std::sort(cur.begin(), cur.end());
@@ -352,8 +353,11 @@ long long DistributedFaultModel::memory_bytes() const {
            vec_bytes(has_corner_, 1) + vec_bytes(corner_pending_marked_, 1) +
            vec_bytes(cancel_seen_count_, sizeof(uint16_t));
   bytes += vec_bytes(levels_queue_, sizeof(NodeId)) + vec_bytes(cancel_queue_, sizeof(NodeId)) +
+           vec_bytes(levels_cur_, sizeof(NodeId)) + vec_bytes(cancel_cur_, sizeof(NodeId)) +
            vec_bytes(corner_nodes_, sizeof(NodeId)) +
            vec_bytes(corner_pending_, sizeof(NodeId));
+  bytes += vec_bytes(held_scratch_, sizeof(BlockInfo)) +
+           vec_bytes(carried_scratch_, sizeof(std::pair<BlockInfo, Provenance>));
   bytes += vec_bytes(labeling_wl_.marked, 1) + vec_bytes(labeling_wl_.queue, sizeof(NodeId));
   for (const auto& v : levels_) bytes += sizeof(v) + vec_bytes(v, sizeof(LevelEntry));
   for (const auto& v : levels_prev_) bytes += sizeof(v) + vec_bytes(v, sizeof(LevelEntry));

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/fault/corner_taxonomy.h"
 #include "src/fault/labeling.h"
+#include "src/sim/rng.h"
 
 namespace lgfi {
 namespace {
@@ -41,6 +44,60 @@ TEST(CornerTaxonomy, ClassifyInsideOutsideEnvelope) {
   EXPECT_EQ(face.out_dims, 1);
   EXPECT_EQ(face.out_dim_list[0], 0);
   EXPECT_FALSE(face.out_side_positive[0]);
+}
+
+TEST(CornerTaxonomy, ClassificationMatchesBruteForceOnRandomBoxes) {
+  // Every position of box.inflated(2) against a reference that reads each
+  // dimension's distance below lo and above hi, for seeded random boxes
+  // in 2-D to 6-D (extents 1-3, some reaching negative coordinates).
+  Rng rng(30);
+  for (int n = 2; n <= 6; ++n) {
+    for (int trial = 0; trial < 4; ++trial) {
+      Coord lo(n);
+      Coord hi(n);
+      for (int d = 0; d < n; ++d) {
+        lo[d] = rng.uniform_int(-3, 5);
+        hi[d] = lo[d] + rng.uniform_int(0, 2);
+      }
+      const Box box(lo, hi);
+      long long positions = 0;
+      box.inflated(2).for_each([&](const Coord& c) {
+        ++positions;
+        bool inside = true;
+        bool off_shell = false;
+        std::vector<int> dims;
+        std::vector<bool> sides;
+        for (int d = 0; d < n; ++d) {
+          const int below = box.lo(d) - c[d];
+          const int above = c[d] - box.hi(d);
+          if (below <= 0 && above <= 0) continue;
+          inside = false;
+          if (below == 1 || above == 1) {
+            dims.push_back(d);
+            sides.push_back(above == 1);
+          } else {
+            off_shell = true;
+          }
+        }
+        const bool on_envelope = !inside && !off_shell;
+        const int out_dims = static_cast<int>(dims.size());
+
+        const EnvelopeClass e = classify_against_block(c, box);
+        ASSERT_EQ(e.inside, inside) << c.to_string() << " vs " << box.to_string();
+        ASSERT_EQ(e.on_envelope, on_envelope) << c.to_string() << " vs " << box.to_string();
+        ASSERT_EQ(e.out_dims, out_dims) << c.to_string() << " vs " << box.to_string();
+        for (int k = 0; k < out_dims; ++k) {
+          ASSERT_EQ(e.out_dim_list[static_cast<size_t>(k)], dims[static_cast<size_t>(k)]);
+          ASSERT_EQ(e.out_side_positive[static_cast<size_t>(k)], sides[static_cast<size_t>(k)]);
+        }
+        ASSERT_EQ(corner_level(c, box), on_envelope ? out_dims : 0)
+            << c.to_string() << " vs " << box.to_string();
+      });
+      long long expected = 1;
+      for (int d = 0; d < n; ++d) expected *= box.extent(d) + 4;
+      EXPECT_EQ(positions, expected);
+    }
+  }
 }
 
 TEST(CornerTaxonomy, CornerCountIs2PowN) {
