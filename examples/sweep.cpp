@@ -3,8 +3,8 @@
 //
 //   ./sweep mesh_dims=4 radix=6 router=fault_info replications=200
 //   ./sweep mode=dynamic faults=10 batches=2 router=global_table report=json
-//   ./sweep router=[no_info,fault_info] injection_rate=[0.02,0.05,0.1] \
-//       traffic=uniform report=csv            # 2-axis campaign, 6 grid rows
+//   # a 2-axis campaign, 6 grid rows:
+//   ./sweep router=[no_info,fault_info] injection_rate=[0.02,0.05,0.1] traffic=uniform report=csv
 //   ./sweep faults=range(0,24,4) replications=100 report=table
 //   ./sweep traffic=uniform injection=[bernoulli,closed_loop] report=csv
 //   ./sweep traffic=uniform trace_record=run.trace replications=1   # then:

@@ -200,10 +200,15 @@ TEST(CampaignRunner, OnePointCampaignByteIdenticalToSingleRunReport) {
     CampaignRunner(spec).run_and_report(campaign);
     EXPECT_EQ(single.str(), campaign.str()) << report;
     // And the historical shape is preserved (no campaign wrapping).
-    if (std::string(report) == "csv")
+    if (std::string(report) == "csv") {
       EXPECT_EQ(campaign.str().find("config,metric,count,mean,stddev,min,max"), 0u);
-    if (std::string(report) == "json") EXPECT_EQ(campaign.str().find("{\"config\":{"), 0u);
-    if (std::string(report) == "table") EXPECT_EQ(campaign.str().find("config: "), 0u);
+    }
+    if (std::string(report) == "json") {
+      EXPECT_EQ(campaign.str().find("{\"config\":{"), 0u);
+    }
+    if (std::string(report) == "table") {
+      EXPECT_EQ(campaign.str().find("config: "), 0u);
+    }
   }
 }
 

@@ -160,7 +160,9 @@ TEST(LifecycleGenerator, DeterministicInSeedAndBoundedByHorizon) {
       EXPECT_EQ(ea[i].link.index(), eb[i].link.index());
       // Down edges land on [0, horizon]; repairs past it were dropped, and
       // a transient repairs no later than its permanent twin would.
-      if (ea[i].is_down_edge()) EXPECT_LE(ea[i].step, 500);
+      if (ea[i].is_down_edge()) {
+        EXPECT_LE(ea[i].step, 500);
+      }
     }
   }
 }

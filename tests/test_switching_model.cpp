@@ -186,8 +186,9 @@ TEST(WormholeSwitching, ProbeHoldsAtMostTheWormWindow) {
     sim.step();
     ws.validate();
     const auto v = ws.worm(id);
-    if (!v.streaming && !v.done)
+    if (!v.streaming && !v.done) {
       EXPECT_LE(v.held_vcs, flits) << "setup window exceeded at step " << s;
+    }
   }
 }
 

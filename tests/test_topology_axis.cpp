@@ -299,7 +299,7 @@ TEST(TopologyByteIdentity, WormholeExplicitMeshMatchesDefault) {
 // ---------------------------------------------------------------------------
 
 TEST(TopologyRouting, TorusAndCMeshDeliverWithNonNegativeDetours) {
-  for (const std::string topo :
+  for (const std::string& topo :
        {std::string("topology=torus"), std::string("topology=cmesh concentration=2")}) {
     const ExperimentResult r = ExperimentRunner(config_with(
                                    topo + " radix=6 faults=5 routes=40 replications=2"))
