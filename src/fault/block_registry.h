@@ -69,8 +69,8 @@ class InfoStore {
   /// Adds (or refreshes) `info` at `node`.  Returns true if the store
   /// changed (new box, or newer epoch for an existing box).  A repeated
   /// deposit upgrades the provenance if the new justification is stronger
-  /// (kEnvelope > kWall > kMerged).  Throws std::length_error past
-  /// kMaxEntriesPerNode entries at one node.
+  /// (kEnvelope > kWall > kMerged).  Throws std::length_error past 2^15
+  /// entries at one node.
   bool deposit(NodeId node, const BlockInfo& info, const Provenance& prov = {});
 
   /// Removes the entry with `box` (any epoch <= `epoch`), keeping the rest
@@ -106,12 +106,10 @@ class InfoStore {
   static constexpr int kChunkShift = 6;
   /// Entries per chunk.
   static constexpr uint32_t kChunkEntries = 1u << kChunkShift;
-  /// The largest block: 2^15 entries, so that a slot's count fits 16 bits.
-  static constexpr uint32_t kMaxEntriesPerNode = 1u << 15;
 
  private:
   static constexpr uint32_t kChunkMask = kChunkEntries - 1;
-  static constexpr int kClasses = 16;  ///< block sizes 2^0 .. 2^15
+  static constexpr int kClasses = 16;  ///< block sizes 2^0 .. 2^15: a count fits 16 bits
   static constexpr uint8_t kNoBlock = 0xFF;
 
   struct Slot {
