@@ -517,10 +517,7 @@ ExperimentRunner::ExperimentRunner(Config config) : config_(std::move(config)) {
   // The injection axis: unknown names fail with a did-you-mean, and keys a
   // process ignores are rejected instead of silently no-opping.
   const std::string& injection = config_.get_str("injection");
-  if (!InjectionProcessRegistry::instance().contains(injection)) {
-    throw ConfigError(unknown_name_message("injection process", injection,
-                                           InjectionProcessRegistry::instance().names()));
-  }
+  (void)InjectionProcessRegistry::instance().require(injection);
   validate_injection_keys(config_);
   if (traffic == "none") {
     if (injection != "bernoulli")

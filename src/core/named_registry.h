@@ -1,10 +1,13 @@
 #pragma once
-// The shared self-registration machinery behind every pluggable axis.
+// The one registry type behind every pluggable axis.
 //
-// RouterRegistry, TrafficPatternRegistry and SwitchingModelRegistry grew as
-// three verbatim copies of the same name -> factory map; this header is the
-// one implementation they (plus the fault-model and reporter registries)
-// now share.  A NamedRegistry<Value> maps unique names to values (usually
+// The seven axes are all NamedRegistry<Factory>: topology_registry(),
+// fault_model_registry() and reporter_registry() directly; RouterRegistry,
+// TrafficPatternRegistry, SwitchingModelRegistry and
+// InjectionProcessRegistry as subclasses that add only a static instance()
+// (and, for routers, each router's default InfoMode).  Each accessor
+// registers its axis's built-ins in its function-local static initializer,
+// on first use.  A NamedRegistry<Value> maps unique names to values (usually
 // factories) and carries per-component introspection metadata — a one-line
 // help text and the list of config keys the component consumes — so the
 // catalog a CLI prints under --list and the error message an unknown name

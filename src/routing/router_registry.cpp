@@ -28,41 +28,71 @@ const char* to_string(InfoMode mode) {
 }
 
 RouterRegistry& RouterRegistry::instance() {
-  static RouterRegistry registry;
+  static RouterRegistry registry = [] {
+    RouterRegistry r;
+    r.add(
+        "dimension_order", InfoMode::kNone,
+        [](const Config& cfg) -> std::unique_ptr<Router> {
+          const bool strict =
+              cfg.defined("ecube_strict") ? cfg.get_bool("ecube_strict") : true;
+          return std::make_unique<DimensionOrderRouter>(strict);
+        },
+        {"e-cube baseline; consults no fault information", {"ecube_strict"}});
+    r.add(
+        "no_info", InfoMode::kNone,
+        [](const Config&) -> std::unique_ptr<Router> {
+          return std::make_unique<FaultInfoRouter>(make_no_info_router().options());
+        },
+        {"backtracking PCS; block information ignored", {}});
+    r.add(
+        "fault_info", InfoMode::kLimitedGlobal,
+        [](const Config&) -> std::unique_ptr<Router> {
+          return std::make_unique<FaultInfoRouter>();
+        },
+        {"Algorithm 3 over the limited-global placement (the paper)", {}});
+    r.add(
+        "global_table", InfoMode::kInstantGlobal,
+        [](const Config&) -> std::unique_ptr<Router> {
+          return std::make_unique<FaultInfoRouter>(make_global_table_router().options());
+        },
+        {"Algorithm 3 with per-node global tables (baseline)", {}});
+    r.add(
+        "oracle", InfoMode::kNone,
+        [](const Config& cfg) -> std::unique_ptr<Router> {
+          OracleAvoid avoid = OracleAvoid::kBlockMembers;
+          if (cfg.defined("oracle_avoid")) {
+            const std::string& a = cfg.get_str("oracle_avoid");
+            if (a == "faulty_only") avoid = OracleAvoid::kFaultyOnly;
+            else if (a == "block_members") avoid = OracleAvoid::kBlockMembers;
+            else
+              throw ConfigError("unknown oracle_avoid '" + a +
+                                "' (want faulty_only or block_members)");
+          }
+          return std::make_unique<OracleRouter>(avoid);
+        },
+        {"BFS shortest path over live nodes (lower bound)", {"oracle_avoid"}});
+    return r;
+  }();
   return registry;
 }
 
 void RouterRegistry::add(const std::string& name, InfoMode default_mode, RouterFactory factory,
                          ComponentMeta meta) {
-  registry_.add(name, Registration{default_mode, std::move(factory)}, std::move(meta));
-}
-
-bool RouterRegistry::contains(const std::string& name) const {
-  return registry_.contains(name);
-}
-
-std::vector<std::string> RouterRegistry::names() const { return registry_.names(); }
-
-std::unique_ptr<Router> RouterRegistry::make(const std::string& name,
-                                             const Config& config) const {
-  return registry_.require(name).factory(config);
+  NamedRegistry::add(name, std::move(factory), std::move(meta));
+  default_modes_[name] = default_mode;
 }
 
 InfoMode RouterRegistry::default_info_mode(const std::string& name) const {
-  return registry_.require(name).default_mode;
-}
-
-RouterRegistrar::RouterRegistrar(const std::string& name, InfoMode default_mode,
-                                 RouterFactory factory, ComponentMeta meta) {
-  RouterRegistry::instance().add(name, default_mode, std::move(factory), std::move(meta));
+  (void)require(name);  // the unknown-router error
+  return default_modes_.at(name);
 }
 
 std::unique_ptr<Router> make_router(const std::string& name) {
-  return RouterRegistry::instance().make(name, Config{});
+  return make_router(name, Config{});
 }
 
 std::unique_ptr<Router> make_router(const std::string& name, const Config& config) {
-  return RouterRegistry::instance().make(name, config);
+  return RouterRegistry::instance().require(name)(config);
 }
 
 const char* router_name_for(InfoMode mode) {
@@ -84,59 +114,5 @@ InfoMode resolve_info_mode(const Config& config) {
       config.defined("router") ? config.get_str("router") : "fault_info";
   return RouterRegistry::instance().default_info_mode(router);
 }
-
-// ---------------------------------------------------------------------------
-// Built-in registrations.  These live in the same translation unit as the
-// registry so a static-library link can never strip them.
-// ---------------------------------------------------------------------------
-namespace {
-
-const RouterRegistrar kDimensionOrder(
-    "dimension_order", InfoMode::kNone,
-    [](const Config& cfg) -> std::unique_ptr<Router> {
-      const bool strict =
-          cfg.defined("ecube_strict") ? cfg.get_bool("ecube_strict") : true;
-      return std::make_unique<DimensionOrderRouter>(strict);
-    },
-    {"e-cube baseline; consults no fault information", {"ecube_strict"}});
-
-const RouterRegistrar kNoInfo(
-    "no_info", InfoMode::kNone,
-    [](const Config&) -> std::unique_ptr<Router> {
-      return std::make_unique<FaultInfoRouter>(make_no_info_router().options());
-    },
-    {"backtracking PCS; block information ignored", {}});
-
-const RouterRegistrar kFaultInfo(
-    "fault_info", InfoMode::kLimitedGlobal,
-    [](const Config&) -> std::unique_ptr<Router> {
-      return std::make_unique<FaultInfoRouter>();
-    },
-    {"Algorithm 3 over the limited-global placement (the paper)", {}});
-
-const RouterRegistrar kGlobalTable(
-    "global_table", InfoMode::kInstantGlobal,
-    [](const Config&) -> std::unique_ptr<Router> {
-      return std::make_unique<FaultInfoRouter>(make_global_table_router().options());
-    },
-    {"Algorithm 3 with per-node global tables (baseline)", {}});
-
-const RouterRegistrar kOracle(
-    "oracle", InfoMode::kNone,
-    [](const Config& cfg) -> std::unique_ptr<Router> {
-      OracleAvoid avoid = OracleAvoid::kBlockMembers;
-      if (cfg.defined("oracle_avoid")) {
-        const std::string& a = cfg.get_str("oracle_avoid");
-        if (a == "faulty_only") avoid = OracleAvoid::kFaultyOnly;
-        else if (a == "block_members") avoid = OracleAvoid::kBlockMembers;
-        else
-          throw ConfigError("unknown oracle_avoid '" + a +
-                            "' (want faulty_only or block_members)");
-      }
-      return std::make_unique<OracleRouter>(avoid);
-    },
-    {"BFS shortest path over live nodes (lower bound)", {"oracle_avoid"}});
-
-}  // namespace
 
 }  // namespace lgfi

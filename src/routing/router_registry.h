@@ -1,6 +1,6 @@
 #pragma once
-// Routing-function registry: routers self-register by name and are built
-// from a Config, so benches, examples and the simulators never construct a
+// Routing-function registry: routers register by name and are built from a
+// Config, so benches, examples and the simulators never construct a
 // concrete router type directly (the booksim RegisterRoutingFunctions
 // pattern).  The registry also owns the InfoMode vocabulary — where a
 // router's block information comes from — and resolves it from config
@@ -14,9 +14,9 @@
 //   oracle           BFS shortest path over live nodes (lower bound)
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/core/config.h"
 #include "src/core/named_registry.h"
@@ -39,10 +39,11 @@ const char* to_string(InfoMode mode);
 
 using RouterFactory = std::function<std::unique_ptr<Router>(const Config&)>;
 
-class RouterRegistry {
+/// The router axis: a NamedRegistry of factories, plus the InfoMode each
+/// router was registered with.
+class RouterRegistry : public NamedRegistry<RouterFactory> {
  public:
-  /// The process-wide registry (populated during static initialization by
-  /// RouterRegistrar instances).
+  /// The process-wide registry, holding the built-in routers listed above.
   static RouterRegistry& instance();
 
   /// Registers a factory under `name`; `default_mode` is the information
@@ -52,36 +53,19 @@ class RouterRegistry {
   void add(const std::string& name, InfoMode default_mode, RouterFactory factory,
            ComponentMeta meta = {});
 
-  [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;  ///< sorted
-
-  /// Builds the named router; throws ConfigError with the known names (and
-  /// a did-you-mean suggestion) on an unknown `name`.  The config is passed
-  /// to the factory for router-level options (e.g. oracle_avoid,
-  /// ecube_strict).
-  [[nodiscard]] std::unique_ptr<Router> make(const std::string& name,
-                                             const Config& config) const;
-
+  /// The mode `name` was registered with; throws ConfigError with the known
+  /// names (and a did-you-mean suggestion) on an unknown `name`.
   [[nodiscard]] InfoMode default_info_mode(const std::string& name) const;
 
-  /// The catalog rows for every registered router (sorted by name).
-  [[nodiscard]] std::vector<ComponentInfo> describe() const { return registry_.describe(); }
-
  private:
-  struct Registration {
-    InfoMode default_mode;
-    RouterFactory factory;
-  };
-  NamedRegistry<Registration> registry_{"router"};
+  RouterRegistry() : NamedRegistry("router") {}
+
+  std::map<std::string, InfoMode> default_modes_;
 };
 
-/// Self-registration helper: `static RouterRegistrar r("name", mode, fn);`
-struct RouterRegistrar {
-  RouterRegistrar(const std::string& name, InfoMode default_mode, RouterFactory factory,
-                  ComponentMeta meta = {});
-};
-
-/// Convenience: build by name with router defaults / with options from `config`.
+/// Builds the named router with router defaults / with options from
+/// `config` (oracle_avoid, ecube_strict); throws ConfigError with the known
+/// names (and a did-you-mean suggestion) on an unknown `name`.
 std::unique_ptr<Router> make_router(const std::string& name);
 std::unique_ptr<Router> make_router(const std::string& name, const Config& config);
 

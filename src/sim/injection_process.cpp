@@ -8,39 +8,10 @@
 
 namespace lgfi {
 
-InjectionProcessRegistry& InjectionProcessRegistry::instance() {
-  static InjectionProcessRegistry registry;
-  return registry;
-}
-
-void InjectionProcessRegistry::add(const std::string& name, InjectionProcessFactory factory,
-                                   ComponentMeta meta) {
-  registry_.add(name, std::move(factory), std::move(meta));
-}
-
-bool InjectionProcessRegistry::contains(const std::string& name) const {
-  return registry_.contains(name);
-}
-
-std::vector<std::string> InjectionProcessRegistry::names() const { return registry_.names(); }
-
-std::unique_ptr<InjectionProcess> InjectionProcessRegistry::make(const std::string& name,
-                                                                 const Topology& mesh,
-                                                                 const Config& config,
-                                                                 Rng& rng) const {
-  return registry_.require(name)(mesh, config, rng);
-}
-
-InjectionProcessRegistrar::InjectionProcessRegistrar(const std::string& name,
-                                                     InjectionProcessFactory factory,
-                                                     ComponentMeta meta) {
-  InjectionProcessRegistry::instance().add(name, std::move(factory), std::move(meta));
-}
-
 std::unique_ptr<InjectionProcess> make_injection_process(const std::string& name,
                                                          const Topology& mesh,
                                                          const Config& config, Rng& rng) {
-  return InjectionProcessRegistry::instance().make(name, mesh, config, rng);
+  return InjectionProcessRegistry::instance().require(name)(mesh, config, rng);
 }
 
 void validate_injection_keys(const Config& config) {
@@ -67,8 +38,7 @@ void validate_injection_keys(const Config& config) {
 }
 
 // ---------------------------------------------------------------------------
-// Built-in processes.  Registered in the same translation unit as the
-// registry so a static-library link can never strip them.
+// Built-in processes.
 // ---------------------------------------------------------------------------
 namespace {
 
@@ -241,58 +211,61 @@ class TraceReplayProcess final : public InjectionProcess {
   Coord pending_dest_;
 };
 
-const InjectionProcessRegistrar kBernoulli(
-    "bernoulli",
-    [](const Topology&, const Config& cfg, Rng&) {
-      return std::make_unique<BernoulliProcess>(require_rate(cfg));
-    },
-    {"independent coin per terminal per step at injection_rate (open loop)",
-     {"injection_rate"}});
-
-const InjectionProcessRegistrar kOnOff(
-    "onoff",
-    [](const Topology& mesh, const Config& cfg, Rng& rng) {
-      const double duty = cfg.get_double("duty_cycle");
-      if (duty <= 0.0 || duty > 1.0) throw ConfigError("duty_cycle must be in (0, 1]");
-      const long long burst = cfg.get_int("burst_len");
-      if (burst < 1) throw ConfigError("burst_len must be >= 1");
-      return std::make_unique<OnOffProcess>(mesh, require_rate(cfg), duty, burst, rng);
-    },
-    {"bursty two-state: ON burst_len steps per cycle, ON fraction duty_cycle",
-     {"injection_rate", "duty_cycle", "burst_len"}});
-
-const InjectionProcessRegistrar kBatch(
-    "batch",
-    [](const Topology& mesh, const Config& cfg, Rng&) {
-      const long long size = cfg.get_int("batch_size");
-      if (size < 1) throw ConfigError("batch_size must be >= 1");
-      const long long count = cfg.get_int("batch_count");
-      if (count < 1) throw ConfigError("batch_count must be >= 1");
-      return std::make_unique<BatchProcess>(mesh, size, count);
-    },
-    {"each terminal injects batch_size packets, network drains, x batch_count",
-     {"batch_size", "batch_count"}});
-
-const InjectionProcessRegistrar kClosedLoop(
-    "closed_loop",
-    [](const Topology& mesh, const Config& cfg, Rng&) {
-      const long long window = cfg.get_int("window");
-      if (window < 1) throw ConfigError("window must be >= 1");
-      return std::make_unique<ClosedLoopProcess>(mesh, require_rate(cfg), window);
-    },
-    {"request-reply with window outstanding pairs per terminal (closed loop)",
-     {"injection_rate", "window"}});
-
-const InjectionProcessRegistrar kTrace(
-    "trace",
-    [](const Topology& mesh, const Config& cfg, Rng&) {
-      const std::string& path = cfg.get_str("trace_file");
-      if (path.empty()) throw ConfigError("injection=trace needs trace_file=<recorded trace>");
-      return std::make_unique<TraceReplayProcess>(mesh, path);
-    },
-    {"deterministic replay of a trace recorded with trace_record=", {"trace_file"}});
-
 }  // namespace
+
+InjectionProcessRegistry& InjectionProcessRegistry::instance() {
+  static InjectionProcessRegistry registry = [] {
+    InjectionProcessRegistry r;
+    r.add(
+        "bernoulli",
+        [](const Topology&, const Config& cfg, Rng&) {
+          return std::make_unique<BernoulliProcess>(require_rate(cfg));
+        },
+        {"independent coin per terminal per step at injection_rate (open loop)",
+         {"injection_rate"}});
+    r.add(
+        "onoff",
+        [](const Topology& mesh, const Config& cfg, Rng& rng) {
+          const double duty = cfg.get_double("duty_cycle");
+          if (duty <= 0.0 || duty > 1.0) throw ConfigError("duty_cycle must be in (0, 1]");
+          const long long burst = cfg.get_int("burst_len");
+          if (burst < 1) throw ConfigError("burst_len must be >= 1");
+          return std::make_unique<OnOffProcess>(mesh, require_rate(cfg), duty, burst, rng);
+        },
+        {"bursty two-state: ON burst_len steps per cycle, ON fraction duty_cycle",
+         {"injection_rate", "duty_cycle", "burst_len"}});
+    r.add(
+        "batch",
+        [](const Topology& mesh, const Config& cfg, Rng&) {
+          const long long size = cfg.get_int("batch_size");
+          if (size < 1) throw ConfigError("batch_size must be >= 1");
+          const long long count = cfg.get_int("batch_count");
+          if (count < 1) throw ConfigError("batch_count must be >= 1");
+          return std::make_unique<BatchProcess>(mesh, size, count);
+        },
+        {"each terminal injects batch_size packets, network drains, x batch_count",
+         {"batch_size", "batch_count"}});
+    r.add(
+        "closed_loop",
+        [](const Topology& mesh, const Config& cfg, Rng&) {
+          const long long window = cfg.get_int("window");
+          if (window < 1) throw ConfigError("window must be >= 1");
+          return std::make_unique<ClosedLoopProcess>(mesh, require_rate(cfg), window);
+        },
+        {"request-reply with window outstanding pairs per terminal (closed loop)",
+         {"injection_rate", "window"}});
+    r.add(
+        "trace",
+        [](const Topology& mesh, const Config& cfg, Rng&) {
+          const std::string& path = cfg.get_str("trace_file");
+          if (path.empty()) throw ConfigError("injection=trace needs trace_file=<recorded trace>");
+          return std::make_unique<TraceReplayProcess>(mesh, path);
+        },
+        {"deterministic replay of a trace recorded with trace_record=", {"trace_file"}});
+    return r;
+  }();
+  return registry;
+}
 
 std::unique_ptr<InjectionProcess> make_bernoulli_injection(double rate) {
   return std::make_unique<BernoulliProcess>(rate);

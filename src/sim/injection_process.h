@@ -1,6 +1,6 @@
 #pragma once
-// Pluggable injection processes behind a self-registering factory — the
-// seventh registry axis (`injection=`).
+// Pluggable injection processes behind a registered factory — the seventh
+// registry axis (`injection=`).
 //
 // A traffic pattern decides *where* a packet goes; the injection process
 // decides *when* a terminal offers one.  TrafficWorkload consults the
@@ -97,41 +97,19 @@ class InjectionProcess {
 using InjectionProcessFactory = std::function<std::unique_ptr<InjectionProcess>(
     const Topology& mesh, const Config& config, Rng& rng)>;
 
-class InjectionProcessRegistry {
+class InjectionProcessRegistry : public NamedRegistry<InjectionProcessFactory> {
  public:
-  /// The process-wide registry (populated during static initialization by
-  /// InjectionProcessRegistrar instances).
+  /// The process-wide registry, holding the built-in processes.
   static InjectionProcessRegistry& instance();
 
-  /// Registers a factory under `name`; `meta` carries the one-line help and
-  /// consumed config keys for the --list catalog.  Duplicate names throw.
-  void add(const std::string& name, InjectionProcessFactory factory, ComponentMeta meta = {});
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;  ///< sorted
-
-  /// Builds the named process; throws ConfigError with the known names (and
-  /// a did-you-mean suggestion) on an unknown `name`.  `rng` seeds
-  /// construction-time randomness (onoff's per-slot phases); bernoulli
-  /// draws nothing at construction, preserving the legacy stream.
-  [[nodiscard]] std::unique_ptr<InjectionProcess> make(const std::string& name,
-                                                       const Topology& mesh,
-                                                       const Config& config, Rng& rng) const;
-
-  /// The catalog rows for every registered process (sorted by name).
-  [[nodiscard]] std::vector<ComponentInfo> describe() const { return registry_.describe(); }
-
  private:
-  NamedRegistry<InjectionProcessFactory> registry_{"injection process"};
+  InjectionProcessRegistry() : NamedRegistry("injection process") {}
 };
 
-/// Self-registration helper: `static InjectionProcessRegistrar r("name", fn);`
-struct InjectionProcessRegistrar {
-  InjectionProcessRegistrar(const std::string& name, InjectionProcessFactory factory,
-                            ComponentMeta meta = {});
-};
-
-/// Convenience wrapper over InjectionProcessRegistry::instance().make().
+/// Builds the named process; throws ConfigError with the known names (and a
+/// did-you-mean suggestion) on an unknown `name`.  `rng` seeds
+/// construction-time randomness (onoff's per-slot phases); bernoulli draws
+/// nothing at construction, preserving the legacy stream.
 std::unique_ptr<InjectionProcess> make_injection_process(const std::string& name,
                                                          const Topology& mesh,
                                                          const Config& config, Rng& rng);

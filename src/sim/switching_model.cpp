@@ -6,45 +6,10 @@
 
 namespace lgfi {
 
-// ---------------------------------------------------------------------------
-// Registry.
-// ---------------------------------------------------------------------------
-
-SwitchingModelRegistry& SwitchingModelRegistry::instance() {
-  static SwitchingModelRegistry registry;
-  return registry;
-}
-
-void SwitchingModelRegistry::add(const std::string& name, SwitchingModelFactory factory,
-                                 ComponentMeta meta) {
-  registry_.add(name, std::move(factory), std::move(meta));
-}
-
-bool SwitchingModelRegistry::contains(const std::string& name) const {
-  return registry_.contains(name);
-}
-
-std::vector<std::string> SwitchingModelRegistry::names() const { return registry_.names(); }
-
-const SwitchingModelFactory& SwitchingModelRegistry::require(const std::string& name) const {
-  return registry_.require(name);
-}
-
-std::unique_ptr<SwitchingModel> SwitchingModelRegistry::make(
-    const std::string& name, const Topology& mesh, const SwitchingOptions& options) const {
-  return require(name)(mesh, options);
-}
-
-SwitchingModelRegistrar::SwitchingModelRegistrar(const std::string& name,
-                                                 SwitchingModelFactory factory,
-                                                 ComponentMeta meta) {
-  SwitchingModelRegistry::instance().add(name, std::move(factory), std::move(meta));
-}
-
 std::unique_ptr<SwitchingModel> make_switching_model(const std::string& name,
                                                      const Topology& mesh,
                                                      const SwitchingOptions& options) {
-  return SwitchingModelRegistry::instance().make(name, mesh, options);
+  return SwitchingModelRegistry::instance().require(name)(mesh, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -176,25 +141,27 @@ class IdealSwitching final : public SwitchingModel {
   std::vector<std::pair<NodeId, int>> finished_in_place_;
 };
 
-// Both registrations live here (not next to each implementation): this
-// translation unit is always linked — make_switching_model is referenced by
-// DynamicSimulation — so the static-library linker cannot dead-strip the
-// registrars the way it would an otherwise-unreferenced object file.
-const SwitchingModelRegistrar ideal_registrar(  // NOLINT(cert-err58-cpp)
-    "ideal",
-    [](const Topology& mesh, const SwitchingOptions& options) {
-      return std::make_unique<IdealSwitching>(mesh, options);
-    },
-    {"single-flit packets, one hop per step (the historical behavior)", {"arbitration"}});
-
-const SwitchingModelRegistrar wormhole_registrar(  // NOLINT(cert-err58-cpp)
-    "wormhole",
-    [](const Topology& mesh, const SwitchingOptions& options) {
-      return std::make_unique<WormholeSwitching>(mesh, options);
-    },
-    {"flit-level switching: virtual channels + credit flow control",
-     {"num_vcs", "vc_buffer_depth", "flits_per_packet"}});
-
 }  // namespace
+
+SwitchingModelRegistry& SwitchingModelRegistry::instance() {
+  static SwitchingModelRegistry registry = [] {
+    SwitchingModelRegistry r;
+    r.add(
+        "ideal",
+        [](const Topology& mesh, const SwitchingOptions& options) {
+          return std::make_unique<IdealSwitching>(mesh, options);
+        },
+        {"single-flit packets, one hop per step (the historical behavior)", {"arbitration"}});
+    r.add(
+        "wormhole",
+        [](const Topology& mesh, const SwitchingOptions& options) {
+          return std::make_unique<WormholeSwitching>(mesh, options);
+        },
+        {"flit-level switching: virtual channels + credit flow control",
+         {"num_vcs", "vc_buffer_depth", "flits_per_packet"}});
+    return r;
+  }();
+  return registry;
+}
 
 }  // namespace lgfi

@@ -4,8 +4,8 @@
 // The advance phase of DynamicSimulation — "every in-flight message makes a
 // routing decision and traverses a channel" — is really a *switching model*:
 // a policy for how packets occupy channels.  This header factors it into an
-// interface with self-registering implementations (the RouterRegistry /
-// TrafficPatternRegistry scheme):
+// interface with implementations registered by name in a NamedRegistry,
+// like every other axis:
 //
 //   ideal     the historical behavior: a packet is a single header flit that
 //             advances one hop per step, optionally under §8 link
@@ -167,45 +167,18 @@ class SwitchingModel {
 using SwitchingModelFactory = std::function<std::unique_ptr<SwitchingModel>(
     const Topology& mesh, const SwitchingOptions& options)>;
 
-class SwitchingModelRegistry {
+class SwitchingModelRegistry : public NamedRegistry<SwitchingModelFactory> {
  public:
-  /// The process-wide registry (populated during static initialization by
-  /// SwitchingModelRegistrar instances).
+  /// The process-wide registry, holding the built-in models (ideal, wormhole).
   static SwitchingModelRegistry& instance();
 
-  /// Registers a factory under `name`; `meta` carries the one-line help and
-  /// consumed config keys for the --list catalog.  Duplicate names throw.
-  void add(const std::string& name, SwitchingModelFactory factory, ComponentMeta meta = {});
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;  ///< sorted
-
-  /// Builds the named model; throws ConfigError with the known names (and a
-  /// did-you-mean suggestion) on an unknown `name`, and on out-of-range
-  /// options.
-  [[nodiscard]] std::unique_ptr<SwitchingModel> make(const std::string& name,
-                                                     const Topology& mesh,
-                                                     const SwitchingOptions& options) const;
-
-  /// The factory registered under `name`; throws ConfigError naming the
-  /// known models otherwise.  Config validators call it (discarding the
-  /// result) to fail fast on typos with the same message make() would give.
-  [[nodiscard]] const SwitchingModelFactory& require(const std::string& name) const;
-
-  /// The catalog rows for every registered model (sorted by name).
-  [[nodiscard]] std::vector<ComponentInfo> describe() const { return registry_.describe(); }
-
  private:
-  NamedRegistry<SwitchingModelFactory> registry_{"switching model"};
+  SwitchingModelRegistry() : NamedRegistry("switching model") {}
 };
 
-/// Self-registration helper: `static SwitchingModelRegistrar r("name", fn);`
-struct SwitchingModelRegistrar {
-  SwitchingModelRegistrar(const std::string& name, SwitchingModelFactory factory,
-                          ComponentMeta meta = {});
-};
-
-/// Convenience wrapper over SwitchingModelRegistry::instance().make().
+/// Builds the named model; throws ConfigError with the known names (and a
+/// did-you-mean suggestion) on an unknown `name`, and on out-of-range
+/// options.
 std::unique_ptr<SwitchingModel> make_switching_model(const std::string& name,
                                                      const Topology& mesh,
                                                      const SwitchingOptions& options);

@@ -11,44 +11,14 @@ Coord mesh_center(const Topology& mesh) {
   return c;
 }
 
-TrafficPatternRegistry& TrafficPatternRegistry::instance() {
-  static TrafficPatternRegistry registry;
-  return registry;
-}
-
-void TrafficPatternRegistry::add(const std::string& name, TrafficPatternFactory factory,
-                                 ComponentMeta meta) {
-  registry_.add(name, std::move(factory), std::move(meta));
-}
-
-bool TrafficPatternRegistry::contains(const std::string& name) const {
-  return registry_.contains(name);
-}
-
-std::vector<std::string> TrafficPatternRegistry::names() const { return registry_.names(); }
-
-std::unique_ptr<TrafficPattern> TrafficPatternRegistry::make(const std::string& name,
-                                                             const Topology& mesh,
-                                                             const Config& config,
-                                                             Rng& rng) const {
-  return registry_.require(name)(mesh, config, rng);
-}
-
-TrafficPatternRegistrar::TrafficPatternRegistrar(const std::string& name,
-                                                 TrafficPatternFactory factory,
-                                                 ComponentMeta meta) {
-  TrafficPatternRegistry::instance().add(name, std::move(factory), std::move(meta));
-}
-
 std::unique_ptr<TrafficPattern> make_traffic_pattern(const std::string& name,
                                                      const Topology& mesh,
                                                      const Config& config, Rng& rng) {
-  return TrafficPatternRegistry::instance().make(name, mesh, config, rng);
+  return TrafficPatternRegistry::instance().require(name)(mesh, config, rng);
 }
 
 // ---------------------------------------------------------------------------
-// Built-in patterns.  Registered in the same translation unit as the
-// registry so a static-library link can never strip them.
+// Built-in patterns.
 // ---------------------------------------------------------------------------
 namespace {
 
@@ -153,43 +123,46 @@ class PermutationPattern final : public TrafficPattern {
   std::vector<NodeId> perm_;
 };
 
-const TrafficPatternRegistrar kUniform(
-    "uniform",
-    [](const Topology& mesh, const Config&, Rng&) {
-      return std::make_unique<UniformPattern>(mesh);
-    },
-    {"destination uniform over all nodes != source", {}});
-
-const TrafficPatternRegistrar kTranspose(
-    "transpose",
-    [](const Topology& mesh, const Config&, Rng&) {
-      return std::make_unique<TransposePattern>(mesh);
-    },
-    {"coordinates rotated one dimension (2-D: (x,y) -> (y,x))", {}});
-
-const TrafficPatternRegistrar kBitComplement(
-    "bit_complement",
-    [](const Topology& mesh, const Config&, Rng&) {
-      return std::make_unique<BitComplementPattern>(mesh);
-    },
-    {"destination mirrored through the mesh center", {}});
-
-const TrafficPatternRegistrar kHotspot(
-    "hotspot",
-    [](const Topology& mesh, const Config& cfg, Rng&) {
-      const double frac =
-          cfg.defined("hotspot_frac") ? cfg.get_double("hotspot_frac") : kDefaultHotspotFrac;
-      return std::make_unique<HotspotPattern>(mesh, frac);
-    },
-    {"fraction hotspot_frac targets the center node, rest uniform", {"hotspot_frac"}});
-
-const TrafficPatternRegistrar kPermutation(
-    "permutation",
-    [](const Topology& mesh, const Config&, Rng& rng) {
-      return std::make_unique<PermutationPattern>(mesh, rng);
-    },
-    {"one fixed random node permutation per workload", {}});
-
 }  // namespace
+
+TrafficPatternRegistry& TrafficPatternRegistry::instance() {
+  static TrafficPatternRegistry registry = [] {
+    TrafficPatternRegistry r;
+    r.add(
+        "uniform",
+        [](const Topology& mesh, const Config&, Rng&) {
+          return std::make_unique<UniformPattern>(mesh);
+        },
+        {"destination uniform over all nodes != source", {}});
+    r.add(
+        "transpose",
+        [](const Topology& mesh, const Config&, Rng&) {
+          return std::make_unique<TransposePattern>(mesh);
+        },
+        {"coordinates rotated one dimension (2-D: (x,y) -> (y,x))", {}});
+    r.add(
+        "bit_complement",
+        [](const Topology& mesh, const Config&, Rng&) {
+          return std::make_unique<BitComplementPattern>(mesh);
+        },
+        {"destination mirrored through the mesh center", {}});
+    r.add(
+        "hotspot",
+        [](const Topology& mesh, const Config& cfg, Rng&) {
+          const double frac =
+              cfg.defined("hotspot_frac") ? cfg.get_double("hotspot_frac") : kDefaultHotspotFrac;
+          return std::make_unique<HotspotPattern>(mesh, frac);
+        },
+        {"fraction hotspot_frac targets the center node, rest uniform", {"hotspot_frac"}});
+    r.add(
+        "permutation",
+        [](const Topology& mesh, const Config&, Rng& rng) {
+          return std::make_unique<PermutationPattern>(mesh, rng);
+        },
+        {"one fixed random node permutation per workload", {}});
+    return r;
+  }();
+  return registry;
+}
 
 }  // namespace lgfi

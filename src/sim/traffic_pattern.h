@@ -1,10 +1,10 @@
 #pragma once
-// Synthetic traffic patterns behind a self-registering factory.
+// Synthetic traffic patterns behind a registered factory.
 //
 // Interconnect evaluation measures latency/throughput curves under synthetic
 // workloads; each pattern maps an injecting source to a destination (the
 // booksim traffic-pattern vocabulary, generalized to k-ary n-D meshes).
-// Patterns self-register by name — exactly the RouterRegistry scheme — so
+// Patterns register by name in a NamedRegistry, like every other axis, so
 // the traffic engine, benches and the sweep CLI build them from a Config
 // string and never name a concrete type.
 //
@@ -51,41 +51,19 @@ class TrafficPattern {
 using TrafficPatternFactory = std::function<std::unique_ptr<TrafficPattern>(
     const Topology& mesh, const Config& config, Rng& rng)>;
 
-class TrafficPatternRegistry {
+class TrafficPatternRegistry : public NamedRegistry<TrafficPatternFactory> {
  public:
-  /// The process-wide registry (populated during static initialization by
-  /// TrafficPatternRegistrar instances).
+  /// The process-wide registry, holding the built-in patterns listed above.
   static TrafficPatternRegistry& instance();
 
-  /// Registers a factory under `name`; `meta` carries the one-line help and
-  /// consumed config keys for the --list catalog.  Duplicate names throw.
-  void add(const std::string& name, TrafficPatternFactory factory, ComponentMeta meta = {});
-
-  [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;  ///< sorted
-
-  /// Builds the named pattern; throws ConfigError with the known names (and
-  /// a did-you-mean suggestion) on an unknown `name`.  The config supplies
-  /// pattern-level options (hotspot_frac, ...); `rng` seeds
-  /// construction-time randomness (the permutation pattern's table).
-  [[nodiscard]] std::unique_ptr<TrafficPattern> make(const std::string& name,
-                                                     const Topology& mesh,
-                                                     const Config& config, Rng& rng) const;
-
-  /// The catalog rows for every registered pattern (sorted by name).
-  [[nodiscard]] std::vector<ComponentInfo> describe() const { return registry_.describe(); }
-
  private:
-  NamedRegistry<TrafficPatternFactory> registry_{"traffic pattern"};
+  TrafficPatternRegistry() : NamedRegistry("traffic pattern") {}
 };
 
-/// Self-registration helper: `static TrafficPatternRegistrar r("name", fn);`
-struct TrafficPatternRegistrar {
-  TrafficPatternRegistrar(const std::string& name, TrafficPatternFactory factory,
-                          ComponentMeta meta = {});
-};
-
-/// Convenience wrapper over TrafficPatternRegistry::instance().make().
+/// Builds the named pattern; throws ConfigError with the known names (and a
+/// did-you-mean suggestion) on an unknown `name`.  The config supplies
+/// pattern-level options (hotspot_frac, ...); `rng` seeds construction-time
+/// randomness (the permutation pattern's table).
 std::unique_ptr<TrafficPattern> make_traffic_pattern(const std::string& name,
                                                      const Topology& mesh,
                                                      const Config& config, Rng& rng);

@@ -123,7 +123,7 @@ void expect_unknown_error_quality(const std::function<void()>& call,
 TEST(RegistryCoverage, EveryRegisteredRouterConstructs) {
   const Config cfg = experiment_config();
   for (const auto& name : RouterRegistry::instance().names()) {
-    const auto router = RouterRegistry::instance().make(name, cfg);
+    const auto router = make_router(name, cfg);
     EXPECT_NE(router, nullptr) << name;
   }
   expect_unknown_error_quality([] { (void)make_router("fault_inof"); }, "fault_info",

@@ -31,7 +31,7 @@ TEST(SwitchingRegistry, KnowsIdealAndWormhole) {
   EXPECT_TRUE(reg.contains("wormhole"));
   const auto names = reg.names();
   EXPECT_EQ(names.front(), "ideal") << "names() is sorted";
-  EXPECT_THROW((void)reg.make("cut_through", MeshTopology(2, 4), SwitchingOptions{}),
+  EXPECT_THROW((void)make_switching_model("cut_through", MeshTopology(2, 4), SwitchingOptions{}),
                ConfigError);
 }
 
