@@ -18,10 +18,10 @@
 //     is no lower than at the lowest rate (congestion cannot help).
 //
 // Any key=value argument overrides the base config (mesh size, steps,
-// replications, seed, ...) and any sweep token (rates=a,b,c,
-// injection_rate=[...], router=[...], faults=[...]) replaces the
-// corresponding default axis; remaining axes keep their defaults, and a
-// scalar for a swept key (e.g. faults=12) pins that axis to the one value.
+// replications, seed, ...) and any sweep token (injection_rate=[...],
+// router=[...], faults=[...]) replaces the corresponding default axis;
+// remaining axes keep their defaults, and a scalar for a swept key (e.g.
+// faults=12) pins that axis to the one value.
 // CI smoke-runs this through scripts/traffic_smoke.sh with a tiny mesh and
 // short windows:
 //

@@ -30,13 +30,13 @@
 //
 // Any key=value argument overrides the base config (mesh size, steps,
 // replications, seed, num_vcs, flits_per_packet, ...) and any sweep token
-// (rates=a,b,c, switching=[...], router=[...], faults=[...]) replaces the
-// corresponding default axis (smaller meshes saturate at higher per-node
-// rates); a scalar for a swept key pins that axis to the one value.  CI
-// smoke-runs this through scripts/traffic_smoke.sh, as one command line:
+// (injection_rate=[...], switching=[...], router=[...], faults=[...])
+// replaces the corresponding default axis (smaller meshes saturate at higher
+// per-node rates); a scalar for a swept key pins that axis to the one value.
+// CI smoke-runs this through scripts/traffic_smoke.sh, as one command line:
 //
-//   ./bench_wormhole_saturation radix=6 warmup_steps=30 measure_steps=150
-//       replications=2 rates=0.01,0.02,0.05,0.08
+//   ./bench_wormhole_saturation radix=6 warmup_steps=30 measure_steps=200
+//       replications=4 'injection_rate=[0.01,0.02,0.05,0.08]'
 
 #include <algorithm>
 #include <cmath>

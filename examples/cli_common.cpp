@@ -14,8 +14,7 @@ int parse_args(int argc, const char* const* argv, SweepSpec& spec, const CliUsag
                 << " [key=value ...] [--list]\n\n"
                    "sweep axes (any key; every combination runs as one grid):\n"
                    "  key=[v1,v2,...]        explicit value list\n"
-                   "  key=range(lo,hi,step)  lo, lo+step, ... up to and including hi\n"
-                   "  rates=a,b,c            deprecated alias for injection_rate=[a,b,c]\n\n"
+                   "  key=range(lo,hi,step)  lo, lo+step, ... up to and including hi\n\n"
                    "config keys:\n"
                 << spec.base().help();
       if (!usage.extra.empty()) std::cout << "\n" << usage.extra;

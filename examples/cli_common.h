@@ -2,7 +2,7 @@
 // The shared argv surface of the example CLIs and the self-checking
 // saturation benches.  Every binary used to hand-roll the same
 // --help / --list / key=value loop (with its own drift: some had --help,
-// some only --list, each re-parsed rates= itself); this is the one copy.
+// some only --list); this is the one copy.
 //
 //   SweepSpec spec(experiment_config());
 //   ...defaults / default axes...
@@ -10,8 +10,7 @@
 //
 // Tokens go through SweepSpec::parse_token, so every binary linking this
 // helper speaks the full sweep grammar: key=value scalars, key=[v1,v2,...]
-// lists, key=range(lo,hi,step), and the deprecated rates= alias (which
-// warns once on stderr; use injection_rate=[a,b,c]).
+// lists and key=range(lo,hi,step).
 
 #include <string>
 

@@ -10,9 +10,6 @@
 //   ./saturation_sweep injection_rate=range(0.02,0.3,0.04) report=csv
 //   ./saturation_sweep injection=closed_loop window=2 faults=8  # round-trip curve
 //   ./saturation_sweep injection_rate=[0.05,0.1] router=[no_info,fault_info]
-//
-// rates=a,b,c is still accepted as a deprecated alias for
-// injection_rate=[a,b,c] (it warns once on stderr).
 //   ./saturation_sweep --help
 //   ./saturation_sweep --list     # the full component catalog
 //
@@ -43,8 +40,7 @@ int main(int argc, char** argv) {
       argc, argv, std::move(spec),
       {"saturation_sweep",
        "latency/throughput saturation curve: one campaign over the injection "
-       "rate (injection_rate=[...] picks the points; rates= is a deprecated "
-       "alias)",
+       "rate (injection_rate=[...] picks the points)",
        "",
        "\nthroughput tracks offered load until channels saturate; past the knee,\n"
        "latency climbs and stalls dominate — the curve Figure-7-style analysis\n"

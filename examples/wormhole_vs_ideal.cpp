@@ -5,7 +5,7 @@
 //   ./wormhole_vs_ideal                              # uniform on 8x8, defaults
 //   ./wormhole_vs_ideal faults=8 fault_model=clustered injection_rate=0.02
 //   ./wormhole_vs_ideal flits_per_packet=8 num_vcs=4 vc_buffer_depth=2
-//   ./wormhole_vs_ideal rates=0.005,0.01,0.02        # switching x rate grid
+//   ./wormhole_vs_ideal injection_rate=[0.005,0.01,0.02]  # switching x rate grid
 //   ./wormhole_vs_ideal --help
 //   ./wormhole_vs_ideal --list    # the full component catalog
 //

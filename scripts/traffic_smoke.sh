@@ -14,7 +14,7 @@ build_dir="${1:-build}"
 smoke=(radix=6 warmup_steps=30 measure_steps=200 replications=4)
 # Smaller meshes saturate at higher per-node rates; push the wormhole sweep
 # far enough up the curve that the saturation self-check has a knee to find.
-wormhole_rates=rates=0.01,0.02,0.05,0.08
+wormhole_rates='injection_rate=[0.01,0.02,0.05,0.08]'
 
 # Introspection smoke: --list must print the full component catalog (every
 # registry row), so the describe surface cannot rot unnoticed.  Asserts one

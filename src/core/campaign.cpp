@@ -92,8 +92,8 @@ void SweepSpec::add_axis(const std::string& key, std::vector<std::string> values
     if (!from_default && !existing->is_default)
       throw ConfigError("sweep axis '" + key + "' given twice (second: '" + token + "')");
     if (from_default && !existing->is_default) return;  // the user's sweep wins
-    // Replacing keeps the axis position, so a rates= override does not
-    // reshuffle a bench's grid order.
+    // Replacing keeps the axis position, so an injection_rate= override does
+    // not reshuffle a bench's grid order.
     existing->values = std::move(values);
     existing->is_default = from_default;
     return;
@@ -157,24 +157,9 @@ void SweepSpec::parse_token(const std::string& token) {
   const size_t eq = token.find('=');
   if (eq == std::string::npos || eq == 0)
     throw ConfigError("bad override '" + token + "' (want key=value)");
-  std::string key = token.substr(0, eq);
-  std::string value = token.substr(eq + 1);
+  const std::string key = token.substr(0, eq);
+  const std::string value = token.substr(eq + 1);
 
-  if (key == "rates") {
-    // Legacy alias from the sweep CLIs and benches: rates=a,b,c sweeps the
-    // injection rate through the same grammar (brackets optional).
-    // Deprecated in favor of the uniform axis syntax; warn once per process.
-    static const bool warned = [] {
-      std::fprintf(stderr,
-                   "warning: rates= is deprecated; use injection_rate=[a,b,c] instead\n");
-      return true;
-    }();
-    (void)warned;
-    if (value.size() >= 2 && value.front() == '[' && value.back() == ']')
-      value = value.substr(1, value.size() - 2);
-    add_axis("injection_rate", split_list(value), token, /*from_default=*/false);
-    return;
-  }
   if (!value.empty() && value.front() == '[') {
     if (value.size() < 2 || value.back() != ']')
       throw ConfigError("unterminated sweep list in '" + token + "' (want key=[v1,v2,...])");

@@ -19,7 +19,6 @@
 //                          including hi (numeric keys only; hi is included
 //                          when it lands on the progression, with an epsilon
 //                          for doubles)
-//   rates=a,b,c            legacy alias for injection_rate=[a,b,c]
 //   key=value              everything else: a scalar override of the base
 //
 // The Cartesian product of the axes — in declaration order, last axis
@@ -90,9 +89,9 @@ class SweepSpec {
   [[nodiscard]] const std::vector<SweepAxis>& axes() const { return axes_; }
   [[nodiscard]] bool has_axis(const std::string& key) const;
 
-  /// One override token: scalar, list, range, or the rates= alias (see the
-  /// grammar above).  A scalar for a default-swept key collapses that axis
-  /// back to a point; a second list/range for a user-swept key throws.
+  /// One override token: scalar, list or range (see the grammar above).  A
+  /// scalar for a default-swept key collapses that axis back to a point; a
+  /// second list/range for a user-swept key throws.
   void parse_token(const std::string& token);
   void parse_string(const std::string& line);
   void parse_args(int argc, const char* const* argv, int first = 1);

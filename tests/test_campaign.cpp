@@ -1,8 +1,8 @@
-// Tests for the Campaign API: the sweep grammar (lists, ranges, the rates=
-// alias), Cartesian grid expansion order, the CampaignRunner determinism
-// contract (byte-identical output for any thread count, streamed in grid
-// order), and the 1-point campaign's byte-compatibility with the historical
-// single-run reporters.
+// Tests for the Campaign API: the sweep grammar (lists, ranges), Cartesian
+// grid expansion order, the CampaignRunner determinism contract
+// (byte-identical output for any thread count, streamed in grid order), and
+// the 1-point campaign's byte-compatibility with the historical single-run
+// reporters.
 
 #include <gtest/gtest.h>
 
@@ -107,18 +107,11 @@ TEST(SweepSpec, MalformedTokensThrowNamingTheToken) {
 TEST(SweepSpec, DuplicateAxisAndScalarConflictsThrow) {
   EXPECT_THROW(small_spec("radix=[6,8] radix=[10,12]"), ConfigError);
   EXPECT_THROW(small_spec("radix=[6,8] radix=10"), ConfigError);
-  // rates= is an injection_rate axis, so sweeping both is a duplicate.
-  EXPECT_THROW(small_spec("rates=0.1,0.2 injection_rate=[0.3,0.4]"), ConfigError);
 }
 
-TEST(SweepSpec, RatesAliasSweepsInjectionRate) {
-  const SweepSpec spec = small_spec("rates=0.01,0.02,0.3");
-  ASSERT_EQ(spec.axes().size(), 1u);
-  EXPECT_EQ(spec.axes()[0].key, "injection_rate");
-  EXPECT_EQ(spec.axes()[0].values, (std::vector<std::string>{"0.01", "0.02", "0.3"}));
-  // Bracketed spelling accepted too.
-  EXPECT_EQ(small_spec("rates=[0.5,0.6]").axes()[0].values,
-            (std::vector<std::string>{"0.5", "0.6"}));
+TEST(SweepSpec, RatesIsNotAKey) {
+  // The injection-rate axis has one spelling: injection_rate=[a,b,c].
+  EXPECT_THROW(small_spec("rates=0.01,0.02"), ConfigError);
 }
 
 TEST(SweepSpec, DefaultAxesYieldToUserTokensButKeepTheirPosition) {
