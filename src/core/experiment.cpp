@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "src/sim/thread_pool.h"
-
 namespace lgfi {
 
 MetricSet::MetricSet(MetricSet&& other) noexcept {
@@ -74,15 +72,6 @@ double MetricSet::mean(const std::string& name) const {
 void MetricSet::merge(const MetricSet& other) {
   MutexLock2 lock(mu_, other.mu_);
   for (const auto& [name, stats] : other.stats_) stats_[name].merge(stats);
-}
-
-void parallel_replicate(int replications, uint64_t seed, MetricSet& metrics,
-                        const std::function<void(Rng&, MetricSet&)>& fn) {
-  const Rng base(seed);
-  parallel_for(replications, [&](int64_t rep) {
-    Rng rng = base.fork(static_cast<uint64_t>(rep));
-    fn(rng, metrics);
-  });
 }
 
 }  // namespace lgfi

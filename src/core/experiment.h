@@ -1,19 +1,16 @@
 #pragma once
-// Parallel experiment replication (the repository's HPC surface).
+// Named experiment statistics.
 //
 // Benches run hundreds of independent simulator replications per
-// configuration; MetricSet collects named statistics, and
-// parallel_replicate fans replications over the global thread pool with one
-// forked RNG stream per replication, so results are identical for any
-// thread count.
+// configuration; MetricSet collects each replication's named statistics and
+// merges them in replication order, so results are identical for any thread
+// count.  ExperimentRunner (experiment_runner.h) does the fan-out.
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/core/mutex.h"
-#include "src/sim/rng.h"
 #include "src/sim/statistics.h"
 #include "src/sim/table_printer.h"
 
@@ -56,11 +53,5 @@ class MetricSet {
   // order must be stable for byte-identical output (DESIGN.md §16).
   std::map<std::string, RunningStats> stats_ GUARDED_BY(mu_);
 };
-
-/// Runs `fn(rng, metrics)` for `replications` independent replications in
-/// parallel.  Each replication gets Rng(seed).fork(rep), making the sweep
-/// deterministic and schedule-independent.
-void parallel_replicate(int replications, uint64_t seed, MetricSet& metrics,
-                        const std::function<void(Rng&, MetricSet&)>& fn);
 
 }  // namespace lgfi

@@ -41,7 +41,6 @@
 #include "src/fault/node_status.h"
 #include "src/fault/node_table.h"
 #include "src/fault/packed_box.h"
-#include "src/sim/engine.h"
 #include "src/sim/mailbox.h"
 
 namespace lgfi {
@@ -93,21 +92,23 @@ struct ConstructionRounds {
   int total = 0;
 };
 
-class DistributedFaultModel final : public SynchronousProtocol {
+class DistributedFaultModel final {
  public:
   explicit DistributedFaultModel(const Topology& mesh,
                                  DistributedModelOptions options = {});
   // Out-of-line: the mailbox unique_ptrs hold types completed only in the
   // implementation files.
-  ~DistributedFaultModel() override;
+  ~DistributedFaultModel();
 
   // --- environment events (the fault-detection phase of a step) ---
   void inject_fault(const Coord& c);
   void recover(const Coord& c);
 
   // --- protocol execution ---
-  bool run_round() override;
-  [[nodiscard]] std::string name() const override { return "fault-info"; }
+  /// Executes one synchronous round: deliver last round's messages, let every
+  /// node act, queue this round's messages.  Returns false once a round does
+  /// nothing (the protocol is quiescent).
+  bool run_round();
 
   /// Runs rounds to quiescence; returns per-construction round counts for
   /// the change since the previous stabilization.
@@ -404,6 +405,7 @@ class DistributedFaultModel final : public SynchronousProtocol {
   std::vector<NodeId> corner_nodes_;    ///< nodes with has_corner_ set (compacted lazily)
   std::vector<uint8_t> corner_pending_marked_;
   std::vector<NodeId> corner_pending_;  ///< corners to evaluate for (re)launch
+  std::vector<NodeId> corner_cur_;      ///< the list trigger_identifications is consuming
   std::vector<LevelEntry> levels_scratch_;
   std::vector<Coord> candidate_scratch_;
   std::vector<BlockInfo> held_scratch_;  ///< check_eager_invalidation's copy

@@ -194,7 +194,8 @@ bool DistributedFaultModel::trigger_identifications() {
   // non-abandoned corner remains (so the round stays active, exactly as when
   // every node is evaluated), and drops out otherwise.
   const int retry = launch_retry_interval();
-  std::vector<NodeId> cur;
+  auto& cur = corner_cur_;
+  cur.clear();
   cur.swap(corner_pending_);
   for (NodeId id : cur) corner_pending_marked_[static_cast<size_t>(id)] = 0;
   std::sort(cur.begin(), cur.end());

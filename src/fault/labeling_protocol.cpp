@@ -355,7 +355,7 @@ long long DistributedFaultModel::memory_bytes() const {
   bytes += vec_bytes(levels_queue_, sizeof(NodeId)) + vec_bytes(cancel_queue_, sizeof(NodeId)) +
            vec_bytes(levels_cur_, sizeof(NodeId)) + vec_bytes(cancel_cur_, sizeof(NodeId)) +
            vec_bytes(corner_nodes_, sizeof(NodeId)) +
-           vec_bytes(corner_pending_, sizeof(NodeId));
+           vec_bytes(corner_pending_, sizeof(NodeId)) + vec_bytes(corner_cur_, sizeof(NodeId));
   bytes += vec_bytes(held_scratch_, sizeof(BlockInfo)) +
            vec_bytes(carried_scratch_, sizeof(std::pair<BlockInfo, Provenance>));
   bytes += vec_bytes(labeling_wl_.marked, 1) + vec_bytes(labeling_wl_.queue, sizeof(NodeId));

@@ -48,23 +48,6 @@ TEST(Experiment, MetricSetMergeCombinesStreams) {
   EXPECT_DOUBLE_EQ(a.mean("w"), 7.0);
 }
 
-TEST(Experiment, ParallelReplicateDeterministic) {
-  auto run = [] {
-    MetricSet m;
-    parallel_replicate(64, 1234, m, [](Rng& rng, MetricSet& out) {
-      out.add("v", static_cast<double>(rng.next_below(1000)));
-    });
-    return m.mean("v");
-  };
-  EXPECT_DOUBLE_EQ(run(), run());
-}
-
-TEST(Experiment, ReplicationCountsMatch) {
-  MetricSet m;
-  parallel_replicate(100, 7, m, [](Rng&, MetricSet& out) { out.add("n", 1.0); });
-  EXPECT_EQ(m.stats("n").count(), 100);
-}
-
 TEST(NodeInspection, RolesReported) {
   Network net(MeshTopology(3, 8));
   for (const auto& c : figure1_faults()) net.inject_fault(c);

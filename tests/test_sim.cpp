@@ -1,5 +1,5 @@
 // Unit tests for the simulation substrate: RNG determinism, mailbox BSP
-// semantics, engine quiescence, fault schedules, statistics, thread pool.
+// semantics, fault schedules, statistics, thread pool.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "src/sim/engine.h"
 #include "src/sim/fault_schedule.h"
 #include "src/sim/mailbox.h"
 #include "src/sim/rng.h"
@@ -157,38 +156,6 @@ TEST(Mailbox, RandomRoundsDeliverEachInboxInSendOrder) {
   EXPECT_TRUE(mb.active().empty());
   mb.flip();
   for (NodeId id = 0; id < kNodes; ++id) EXPECT_TRUE(mb.inbox(id).empty());
-}
-
-// A protocol that is active for exactly `n` rounds.
-class CountdownProtocol final : public SynchronousProtocol {
- public:
-  explicit CountdownProtocol(int n) : remaining_(n) {}
-  bool run_round() override { return remaining_-- > 0; }
-  std::string name() const override { return "countdown"; }
-
- private:
-  int remaining_;
-};
-
-TEST(Engine, CountsActiveRounds) {
-  CountdownProtocol p(5);
-  const auto r = run_until_quiescent(p, 100);
-  EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.rounds, 5);
-}
-
-TEST(Engine, ReportsNonConvergence) {
-  CountdownProtocol p(1000);
-  const auto r = run_until_quiescent(p, 10);
-  EXPECT_FALSE(r.converged);
-}
-
-TEST(Engine, LockstepAllQuiescent) {
-  CountdownProtocol a(3), b(7);
-  std::vector<SynchronousProtocol*> ps{&a, &b};
-  const auto r = run_all_until_quiescent(ps, 100);
-  EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.rounds, 7) << "lockstep runs until the slowest protocol quiets";
 }
 
 TEST(FaultSchedule, SortedAndQueryable) {
