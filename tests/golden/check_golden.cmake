@@ -6,16 +6,24 @@
 #   cmake -DBINARY=build/bench_theorem3 -DGOLDEN=tests/golden/bench_theorem3.txt \
 #         -P tests/golden/check_golden.cmake
 #
+# ARGS (optional) holds the binary's arguments as one space-separated string,
+# split like a POSIX shell command line:
+#
+#   cmake -DBINARY=build/sweep -DARGS=--list -DGOLDEN=tests/golden/sweep_list.txt \
+#         -P tests/golden/check_golden.cmake
+#
 # To re-record after an intended output change, run the binary and write its
 # stdout over the golden file.
 
 cmake_minimum_required(VERSION 3.20)
 
 if(NOT DEFINED BINARY OR NOT DEFINED GOLDEN)
-  message(FATAL_ERROR "usage: cmake -DBINARY=<exe> -DGOLDEN=<file> -P check_golden.cmake")
+  message(FATAL_ERROR
+          "usage: cmake -DBINARY=<exe> [-DARGS=<args>] -DGOLDEN=<file> -P check_golden.cmake")
 endif()
 
-execute_process(COMMAND "${BINARY}"
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${BINARY}" ${args}
                 RESULT_VARIABLE exit_code
                 OUTPUT_VARIABLE actual
                 ERROR_VARIABLE errors)
